@@ -105,9 +105,52 @@ fn bench_engine_components(c: &mut Criterion) {
     group.finish();
 }
 
+/// The completion list's worst case, which the equal-sized streams above
+/// never produce: N flows of *distinct* sizes on one shared resource, so
+/// no two completions coincide and each one re-rates the other N−1 flows
+/// — twice, because the reissue waits out a latency and re-joins as a
+/// fresh attach instead of inheriting its twin's share. Every re-rate
+/// moves a completion time, and a list that cannot re-key in place
+/// strands one entry per move, so this row is where completion-list cost
+/// shows: ~2·(N−1) re-keys per event.
+fn bench_engine_rerate_storm(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine_rerate_storm");
+    for &n_flows in &[16usize, 64, 256] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("{n_flows}f")),
+            &n_flows,
+            |b, &n_flows| {
+                b.iter(|| {
+                    let mut e = Engine::new();
+                    let r = e.add_resource(ResourceSpec::constant(100.0));
+                    let size = |i: usize| 1.0 + i as f64 / n_flows as f64;
+                    // 2048 completions in all, whatever the population.
+                    let mut remaining = vec![2048u32 / n_flows as u32 - 1; n_flows];
+                    for i in 0..n_flows {
+                        e.start_flow(FlowSpec::new(size(i), &[r], Tag(i as u64)));
+                    }
+                    let mut n = 0u64;
+                    while let Some(ev) = e.next() {
+                        n += 1;
+                        let i = ev.tag().0 as usize;
+                        if remaining[i] > 0 {
+                            remaining[i] -= 1;
+                            let spec = FlowSpec::new(size(i), &[r], Tag(i as u64));
+                            e.start_flow(spec.with_latency(1e-3));
+                        }
+                    }
+                    black_box((n, e.stats().flows_resolved))
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_solver, bench_engine_events, bench_engine_components
+    targets =
+        bench_solver, bench_engine_events, bench_engine_components, bench_engine_rerate_storm
 }
 criterion_main!(benches);

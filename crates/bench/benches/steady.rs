@@ -1,5 +1,5 @@
 //! Steady-state horizon throughput: events/sec under the three
-//! event-list backends.
+//! timer-queue backends.
 //!
 //! An open-loop horizon run front-loads one release timer per arrival,
 //! so the timer queue starts thousands deep — exactly the regime the
@@ -9,10 +9,11 @@
 //! wall time moves. The printed `events=` line plus the per-run medians
 //! in `BENCH_steady.json` give events/sec directly.
 //!
-//! Honest-numbers note: at this scale the event queue is one cost among
-//! many (the max-min solver and flow bookkeeping dominate), so expect
-//! single-digit-percent spreads, not multiples — the bench exists to
-//! keep the calendar from regressing, not to flatter it.
+//! Honest-numbers note: the backend holds the timers only (flow
+//! completions sit in the engine's addressable heap whatever the knob
+//! says), and a 6000-deep timer population is one timer pop per ~20
+//! engine events — the bench exists to keep the calendar from
+//! regressing, not to flatter it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

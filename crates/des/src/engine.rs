@@ -20,7 +20,7 @@
 //! ## Same-timestamp settle batching
 //!
 //! Chunk-pipelined workloads finish many flows at the same instant. The
-//! event loop therefore pops **every** valid completion sharing the
+//! event loop therefore pops **every** completion sharing the
 //! earliest timestamp in one gulp: all of them are marked completed and
 //! detached up front, the events are delivered one per [`Engine::next`]
 //! call from an internal buffer, and the allocation is settled **once**
@@ -45,10 +45,11 @@
 //! ## Event-list completions and lazy progress
 //!
 //! A flow's completion time `t0 + remaining/rate` is constant while its
-//! rate is constant, so completions live in a lazy min-heap: one entry is
-//! pushed per *rate change* (epoch-stamped; stale entries are discarded on
-//! pop) instead of scanning every live flow per event. Flow progress is
-//! settled lazily for the same reason: `remaining` is only brought up to
+//! rate is constant, so completions live in an addressable min-heap
+//! (`eventlist::CompletionList`): each active flow with a positive rate
+//! holds exactly one entry, re-keyed in place per *rate change* and removed
+//! on cancel, instead of scanning every live flow per event. Flow progress
+//! is settled lazily for the same reason: `remaining` is only brought up to
 //! date when a flow's rate changes or the flow is observed — advancing
 //! the clock touches no per-flow state at all. Together these make the
 //! per-event cost proportional to the *touched component*, not to the
@@ -65,7 +66,7 @@
 //! component whose flow set changes by ±k flows per timestamp. Everything
 //! else runs the allocation-free [`SolveScratch`] solver.
 
-use crate::eventlist::{CompletionEntry, EventList, EventListBackend};
+use crate::eventlist::{CompletionList, EventListBackend};
 use crate::flow::{FlowSpec, FlowState, FlowStatus};
 use crate::ids::{FlowId, ResourceId, Tag, TimerId};
 use crate::model::{BandwidthModel, BandwidthModelConfig, ModelDispatch};
@@ -205,10 +206,9 @@ pub struct Engine {
     /// caller, delivered before anything else by [`Engine::next`].
     pending_events: Vec<Event>,
     pending_head: usize,
-    /// Lazy completion event list: one entry per rate assignment.
-    completions: EventList,
-    /// Current epoch of each flow's heap entries (bumped on rate change).
-    flow_epoch: Vec<u32>,
+    /// Addressable completion list: exactly one entry per active flow
+    /// with a positive rate, re-keyed in place when the rate changes.
+    completions: CompletionList,
     /// Number of currently active flows with a non-empty route (used to
     /// classify component solves as full/partial in [`Stats`]).
     n_active_routed: usize,
@@ -263,18 +263,20 @@ impl Engine {
     }
 
     /// Engine statistics so far. The event-queue counters (pushes, pops,
-    /// stale drops, calendar resizes/overflow hits) and the bandwidth
-    /// model's WAN counters are merged in from their owners at read time.
+    /// re-keys, stale drops, calendar resizes/overflow hits) and the
+    /// bandwidth model's WAN counters are merged in from their owners at
+    /// read time.
     #[inline]
     pub fn stats(&self) -> Stats {
         let mut s = self.stats;
-        let c = self.completions.counters();
+        let c = &self.completions;
         let (t, timer_stale) = self.timers.counters();
         s.event_pushes = c.pushes + t.pushes;
         s.event_pops = c.pops + t.pops;
-        s.event_stale_drops += timer_stale;
-        s.calendar_resizes = c.resizes + t.resizes;
-        s.calendar_overflow_hits = c.overflow_hits + t.overflow_hits;
+        s.event_rekeys = c.rekeys;
+        s.event_stale_drops = timer_stale;
+        s.calendar_resizes = t.resizes;
+        s.calendar_overflow_hits = t.overflow_hits;
         let m = self.model.counters();
         s.wan_flows = m.wan_flows;
         s.wan_window_cuts = m.wan_window_cuts;
@@ -282,13 +284,12 @@ impl Engine {
         s
     }
 
-    /// Select the backing store of both event queues (completion list and
-    /// timers). Live entries migrate and pop order is backend-invariant
-    /// (see [`EventListBackend`]), so this only affects timing and the
-    /// calendar counters; callers normally set it right after
-    /// construction or [`Engine::reset`].
+    /// Select the backing store of the timer queue (the completion list is
+    /// an addressable heap outside the backend seam). Live entries migrate
+    /// and pop order is backend-invariant (see [`EventListBackend`]), so
+    /// this only affects timing and the calendar counters; callers
+    /// normally set it right after construction or [`Engine::reset`].
     pub fn set_event_list_backend(&mut self, backend: EventListBackend) {
-        self.completions.set_backend(backend);
         self.timers.set_backend(backend);
     }
 
@@ -332,7 +333,6 @@ impl Engine {
         self.pending_events.clear();
         self.pending_head = 0;
         self.completions.clear();
-        self.flow_epoch.clear();
         self.n_active_routed = 0;
         self.flow_mark.clear();
         self.flow_pos.clear();
@@ -400,7 +400,6 @@ impl Engine {
                 let s = u32::try_from(self.flows.len()).expect("too many flows");
                 self.flows.push(state);
                 self.flow_mark.push(0);
-                self.flow_epoch.push(0);
                 self.slot_gen.push(0);
                 self.flow_pos.push([0; Route::INLINE]);
                 s
@@ -485,7 +484,7 @@ impl Engine {
                 let f = &mut self.flows[id.index()];
                 f.status = FlowStatus::Cancelled;
                 f.rate = 0.0;
-                self.flow_epoch[id.index()] = self.flow_epoch[id.index()].wrapping_add(1);
+                self.completions.remove(id.index());
                 self.model.on_end(id.index());
                 self.detach(id, false);
                 self.free_slots.push(id.index() as u32);
@@ -601,12 +600,12 @@ impl Engine {
     /// Lower bound on the time of the engine's next event, without
     /// delivering anything.
     ///
-    /// Settles rates (so completion times are current) and skims stale
-    /// completion entries, exactly as [`Engine::next`] would. The value is
-    /// a *lower bound*, not necessarily the next delivered event's time: a
-    /// pending flow's activation counts (the engine does internal work at
-    /// that instant and the events it leads to come no earlier), which is
-    /// precisely the conservative guarantee partitioned execution needs.
+    /// Settles rates (so completion times are current), exactly as
+    /// [`Engine::next`] would. The value is a *lower bound*, not
+    /// necessarily the next delivered event's time: a pending flow's
+    /// activation counts (the engine does internal work at that instant
+    /// and the events it leads to come no earlier), which is precisely the
+    /// conservative guarantee partitioned execution needs.
     /// Returns `None` when no flows or timers remain.
     pub fn peek_time(&mut self) -> Option<f64> {
         if self.pending_head < self.pending_events.len() {
@@ -614,20 +613,7 @@ impl Engine {
             return Some(self.time);
         }
         self.settle_rates();
-        let t_flow = loop {
-            match self.completions.peek() {
-                None => break f64::INFINITY,
-                Some(e) => {
-                    let f = &self.flows[e.flow.index()];
-                    if f.status == FlowStatus::Active && self.flow_epoch[e.flow.index()] == e.epoch
-                    {
-                        break e.time;
-                    }
-                    self.completions.pop();
-                    self.stats.event_stale_drops += 1;
-                }
-            }
-        };
+        let t_flow = self.completions.peek().map_or(f64::INFINITY, |e| e.time);
         let t = self.timers.peek_time().unwrap_or(f64::INFINITY).min(t_flow);
         t.is_finite().then_some(t)
     }
@@ -701,23 +687,7 @@ impl Engine {
         loop {
             self.settle_rates();
 
-            // Earliest valid completion from the lazy event list.
-            let t_flow = loop {
-                match self.completions.peek() {
-                    None => break f64::INFINITY,
-                    Some(e) => {
-                        let f = &self.flows[e.flow.index()];
-                        if f.status == FlowStatus::Active
-                            && self.flow_epoch[e.flow.index()] == e.epoch
-                        {
-                            break e.time;
-                        }
-                        self.completions.pop();
-                        self.stats.event_stale_drops += 1;
-                    }
-                }
-            };
-
+            let t_flow = self.completions.peek().map_or(f64::INFINITY, |e| e.time);
             let t_timer = self.timers.peek_time().unwrap_or(f64::INFINITY);
 
             if t_flow.is_infinite() && t_timer.is_infinite() {
@@ -756,31 +726,21 @@ impl Engine {
                     }
                 }
             } else {
-                // Batch-pop every valid completion at this timestamp: the
-                // first is returned directly (so size-1 batches — the tiny-
+                // Batch-pop every completion at this timestamp: the first
+                // is returned directly (so size-1 batches — the tiny-
                 // simulation steady state — bypass the buffer entirely),
                 // the rest are delivered by subsequent calls.
-                let first = self.completions.pop().expect("valid entry peeked above");
+                let first = self.completions.pop().expect("entry peeked above");
                 self.advance_to(first.time);
                 let t = first.time;
                 let tag = self.complete_flow(first.flow, t);
                 let first_ev = Event::FlowCompleted { flow: first.flow, tag };
                 let mut extra = 0u64;
-                loop {
-                    let e = match self.completions.peek() {
-                        Some(&e) if e.time == t => e,
-                        _ => break,
-                    };
+                while let Some(e) = self.completions.peek().filter(|e| e.time == t) {
                     self.completions.pop();
-                    let f = &self.flows[e.flow.index()];
-                    if f.status == FlowStatus::Active && self.flow_epoch[e.flow.index()] == e.epoch
-                    {
-                        let tag = self.complete_flow(e.flow, t);
-                        self.pending_events.push(Event::FlowCompleted { flow: e.flow, tag });
-                        extra += 1;
-                    } else {
-                        self.stats.event_stale_drops += 1;
-                    }
+                    let tag = self.complete_flow(e.flow, t);
+                    self.pending_events.push(Event::FlowCompleted { flow: e.flow, tag });
+                    extra += 1;
                 }
                 if extra > 0 {
                     self.stats.batched_settles += 1;
@@ -822,7 +782,6 @@ impl Engine {
         f.status = FlowStatus::Completed;
         let tag = f.tag;
         let rate_cap = f.rate_cap;
-        self.flow_epoch[id.index()] = self.flow_epoch[id.index()].wrapping_add(1);
         // A dynamically-capped flow's departure changes the queue occupancy
         // every co-bottlenecked flow sees, so it must mark strongly and must
         // not offer its (stale-capped) rate for inheritance.
@@ -1024,20 +983,19 @@ impl Engine {
         self.schedule_completion(id);
     }
 
-    /// Push a fresh completion entry for an active flow with its current
-    /// (settled) remaining and rate, invalidating any previous entry.
+    /// (Re-)key an active flow's completion entry from its current
+    /// (settled) remaining and rate. A flow with no rate can never finish,
+    /// so it holds no entry until it is re-rated.
     fn schedule_completion(&mut self, id: FlowId) {
         let f = &self.flows[id.index()];
         debug_assert_eq!(f.status, FlowStatus::Active);
         debug_assert_eq!(f.last_settled, self.time, "schedule requires settled progress");
         if f.rate <= 0.0 {
+            self.completions.remove(id.index());
             return;
         }
         let remaining = if f.is_done() { 0.0 } else { f.remaining };
-        let time = self.time + remaining / f.rate;
-        let epoch = self.flow_epoch[id.index()].wrapping_add(1);
-        self.flow_epoch[id.index()] = epoch;
-        self.completions.push(CompletionEntry { time, flow: id, epoch });
+        self.completions.set(id, self.time + remaining / f.rate);
     }
 
     fn recompute_rates(&mut self) {
@@ -2148,22 +2106,123 @@ mod tests {
     }
 
     #[test]
-    fn event_queue_counters_track_pushes_pops_and_stale_drops() {
+    fn event_queue_counters_track_pushes_pops_and_rekeys() {
         let mut e = Engine::new();
         let r = e.add_resource(ResourceSpec::constant(10.0));
-        // Two flows share, so B's completion causes a rate change for A:
-        // A gets a second (stale-making) completion entry.
+        // Two flows share, so B's completion re-rates A: A's one entry is
+        // re-keyed in place, never duplicated.
         e.start_flow(FlowSpec::new(100.0, &[r], Tag(0xA)));
         e.start_flow(FlowSpec::new(50.0, &[r], Tag(0xB)));
         let t = e.set_timer(1.0, Tag(9));
         e.cancel_timer(t);
         e.drain();
         let s = e.stats();
-        assert!(s.event_pushes >= 4, "3 completion entries + 1 timer: {s:?}");
-        assert_eq!(s.event_pops, s.event_pushes, "a drained engine pops everything it pushed");
-        assert!(s.event_stale_drops >= 2, "A's first entry + cancelled timer: {s:?}");
+        assert_eq!(s.event_pushes, 3, "one entry per flow + 1 timer: {s:?}");
+        assert_eq!(s.event_rekeys, 1, "A re-keyed when B left: {s:?}");
+        assert_eq!(s.event_stale_drops, 1, "only the cancelled timer is ever stale: {s:?}");
+        assert_eq!(
+            s.event_pops - s.event_stale_drops,
+            s.flow_completions,
+            "every completion pop delivers an event: {s:?}"
+        );
         assert_eq!(s.calendar_resizes, 0, "heap backend never resizes");
         assert_eq!(s.calendar_overflow_hits, 0);
+    }
+
+    /// A resource whose effective capacity is exactly 0 under contention
+    /// (`ResourceSpec::degrading` rejects the infinite coefficient; the
+    /// public fields do not).
+    fn collapsing(base: f64) -> ResourceSpec {
+        ResourceSpec { capacity: crate::CapacityModel::Degrading { base, alpha: f64::INFINITY } }
+    }
+
+    #[test]
+    fn zero_rated_flow_holds_no_completion_until_rerated() {
+        const START_B: Tag = Tag(100);
+        const CANCEL_B: Tag = Tag(101);
+        let mut e = Engine::new();
+        let r = e.add_resource(collapsing(10.0));
+        e.start_flow(FlowSpec::new(100.0, &[r], Tag(0xA))); // alone: rate 10, due at t=10
+        e.set_timer(1.0, START_B);
+        e.set_timer(5.0, CANCEL_B);
+        assert_eq!(e.next().unwrap().tag(), START_B);
+        let b = e.start_flow(FlowSpec::new(100.0, &[r], Tag(0xB)));
+        // Two flows collapse the resource: A stalls at 90 remaining and must
+        // not complete on the prediction made under its old rate.
+        assert_eq!(e.next().unwrap().tag(), CANCEL_B);
+        assert_eq!(e.completions.len(), 0, "stalled flows hold no entry");
+        e.cancel_flow(b);
+        let ev = e.next().unwrap();
+        assert_eq!(ev.tag(), Tag(0xA));
+        assert!((e.now() - 14.0).abs() < 1e-9, "A finished at {}, expected 5 + 90/10", e.now());
+    }
+
+    mod completion_list_invariant {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One step: `(op, a, b)` — see the match in the property.
+        fn schedule() -> impl Strategy<Value = Vec<(u32, u32, u32)>> {
+            proptest::collection::vec((0u32..5, 0u32..64, 0u32..16), 1..200)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// After any schedule of starts (routed, route-less, latent,
+            /// capped, and onto a resource that collapses to zero capacity
+            /// under contention), cancels and event deliveries, the
+            /// completion list holds exactly one entry per active flow
+            /// with a positive rate.
+            #[test]
+            fn one_entry_per_rated_active_flow(steps in schedule()) {
+                const GUARD: Tag = Tag(u64::MAX);
+                let mut e = Engine::new();
+                let shared = e.add_resource(ResourceSpec::constant(100.0));
+                let nic = e.add_resource(ResourceSpec::constant(40.0));
+                let zero = e.add_resource(collapsing(25.0));
+                // A far-future timer keeps an all-stalled engine out of the
+                // deadlock debug-assert; it is re-armed whenever it fires.
+                e.set_timer(1e6, GUARD);
+                let mut started = Vec::new();
+                for (i, &(op, a, b)) in steps.iter().enumerate() {
+                    match op {
+                        0 | 1 => {
+                            let route: &[ResourceId] = match a % 5 {
+                                0 => &[shared],
+                                1 => &[shared, nic],
+                                2 => &[nic],
+                                3 => &[zero],
+                                _ => &[],
+                            };
+                            let mut spec =
+                                FlowSpec::new(f64::from(b + 1) * 12.5, route, Tag(i as u64));
+                            if route.is_empty() || a % 7 == 0 {
+                                spec = spec.with_cap(f64::from(a % 4 + 1) * 7.0);
+                            }
+                            if a % 3 == 0 {
+                                spec = spec.with_latency(f64::from(b % 4) * 0.25);
+                            }
+                            started.push(e.start_flow(spec));
+                        }
+                        2 if !started.is_empty() => {
+                            e.cancel_flow(started[a as usize % started.len()]);
+                        }
+                        _ => {
+                            if e.next().map(|ev| ev.tag()) == Some(GUARD) {
+                                e.set_timer(1e6, GUARD);
+                            }
+                        }
+                    }
+                    let rated = e
+                        .flows
+                        .iter()
+                        .filter(|f| f.status == FlowStatus::Active && f.rate > 0.0)
+                        .count();
+                    prop_assert_eq!(e.completions.len(), rated, "after step {} {:?}", i, steps[i]);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,17 +1,35 @@
-//! The event queues: completion list and timer backing store.
+//! The event queues: the addressable completion list and the timer store.
 //!
-//! The engine pushes one completion entry per rate assignment and pops the
-//! earliest at each step — hundreds of thousands of push/pop pairs per
-//! simulation, the single hottest data structure in the kernel. Entries
-//! order by `(time, flow, epoch)`: simultaneous completions pop in id
-//! order, which is deterministic but — since ids pack the slot generation
-//! in their high bits — no longer the flow *start* order once slots
-//! recycle. The `Ord` is written inverted (min-first) so no structure
-//! needs `Reverse` wrappers on the hot path.
+//! ## Completions: one in-place re-keyed entry per flow
 //!
-//! ## Backends
+//! A flow's predicted completion time changes whenever its rate does, and
+//! a component re-solve re-rates every flow it touches — on the paper's
+//! calibration loop that is ~1.3 re-rates per delivered event. The
+//! completion list is therefore an **addressable** binary min-heap
+//! ([`CompletionList`]) keyed `(time, flow)` that holds *at most one entry
+//! per flow slot*: a slot→heap-position table, kept current by hole-based
+//! sifts, lets [`CompletionList::set`] insert or re-key in place (sifting
+//! from the entry's current position) and [`CompletionList::remove`] drop
+//! a cancelled flow's entry, so every entry in the list is live and the
+//! heap is never deeper than the number of flows that hold a rate.
+//! Simultaneous completions pop in id order, which is deterministic but —
+//! since ids pack the slot generation in their high bits — not the flow
+//! *start* order once slots recycle.
 //!
-//! The backing store is a two-backend [`EventQueue`]:
+//! Why not a lazy heap (push a fresh stamped entry per re-rate, skim the
+//! stranded ones on pop)? Measured on `calib-paper`, that design popped
+//! 7.93 M entries for 3.42 M events and held up to ~2 200 entries for at
+//! most 96 rated flows — a flow whose share *rose* leaves a far-future
+//! corpse that stays buried — and its push + pop took 73% of the run's
+//! CPU samples (36% here, sifts and re-key arithmetic together).
+//!
+//! ## Timers: the backend seam
+//!
+//! Timers are never re-keyed, only cancelled (lazily, by generation — see
+//! [`crate::timer`]), and their population can be orders of magnitude
+//! deeper than the flow set (one release timer per arrival of an
+//! open-loop horizon). Their store is the two-backend [`EventQueue`], and
+//! [`EventListBackend`] selects *its* structure only:
 //!
 //! * **Heap** — `std`'s binary heap, the default and the differential
 //!   oracle. A hand-rolled 4-ary d-heap was benchmarked against it on the
@@ -32,18 +50,19 @@
 //!   heap's low constants and long steady-state runs get the calendar.
 //!
 //! Pops are **order-identical** across backends: the entry `Ord` is a
-//! total order, equal times always hash to the same calendar bucket, and
-//! each bucket is kept sorted by the same `Ord` — so every trace hash in
-//! the repo is invariant under the backend choice (pinned by the
-//! differential oracle in this module's tests and by
+//! total order written inverted (min-first, so no structure needs
+//! `Reverse` wrappers), equal times always hash to the same calendar
+//! bucket, and each bucket is kept sorted by the same `Ord` — so every
+//! trace hash in the repo is invariant under the backend choice (pinned by
+//! the differential oracle in this module's tests and by
 //! `tests/eventlist_backends.rs`).
 
 use crate::ids::FlowId;
 
-/// Which backing store the engine's event queues (completions *and*
-/// timers) use. Selected per run via `SimConfig` / `exp sweep
-/// --event-list`; the default heap is the differential oracle every other
-/// backend must match pop-for-pop.
+/// Which backing store the engine's **timer** queue uses (completions live
+/// in the addressable [`CompletionList`], outside this seam). Selected per
+/// run via `SimConfig` / `exp sweep --event-list`; the default heap is the
+/// differential oracle every other backend must match pop-for-pop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EventListBackend {
     /// `std::collections::BinaryHeap` (default; the oracle).
@@ -85,13 +104,170 @@ impl std::fmt::Display for EventListBackend {
     }
 }
 
+/// A flow's scheduled completion: the one entry its slot holds in the
+/// [`CompletionList`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Completion {
+    pub time: f64,
+    pub flow: FlowId,
+}
+
+impl Completion {
+    /// Strict `(time, flow)` order. Times are never NaN (a completion time
+    /// is `now + remaining / rate` with `rate > 0`), so the float compare
+    /// is total here.
+    #[inline]
+    fn before(&self, other: &Completion) -> bool {
+        self.time < other.time || (self.time == other.time && self.flow < other.flow)
+    }
+}
+
+/// Position-table sentinel: the slot holds no entry.
+const NO_ENTRY: u32 = u32::MAX;
+
+/// Addressable binary min-heap over [`Completion`]s, at most one per flow
+/// slot (see the module docs). `pos[slot]` is the heap index of the slot's
+/// entry; both sift loops move a *hole* and write the table once per moved
+/// entry, so the table is exact after every operation.
+#[derive(Debug, Default)]
+pub(crate) struct CompletionList {
+    heap: Vec<Completion>,
+    pos: Vec<u32>,
+    /// Entries inserted for a flow that held none.
+    pub pushes: u64,
+    /// Entries re-keyed in place (the flow already held one).
+    pub rekeys: u64,
+    /// Entries popped off the top (removals are not counted).
+    pub pops: u64,
+}
+
+impl CompletionList {
+    /// Drop all entries and counters, keeping allocations.
+    pub fn clear(&mut self) {
+        self.heap.clear();
+        self.pos.clear();
+        self.pushes = 0;
+        self.rekeys = 0;
+        self.pops = 0;
+    }
+
+    /// Number of flows holding an entry.
+    #[cfg(test)]
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Earliest entry, if any.
+    #[inline]
+    pub fn peek(&self) -> Option<Completion> {
+        self.heap.first().copied()
+    }
+
+    /// Schedule `flow`'s completion at `time`: insert its entry, or re-key
+    /// the one its slot already holds and sift from where it sits.
+    #[inline]
+    pub fn set(&mut self, flow: FlowId, time: f64) {
+        debug_assert!(!time.is_nan(), "completion times are ordered by plain float compares");
+        let slot = flow.index();
+        if slot >= self.pos.len() {
+            self.pos.resize(slot + 1, NO_ENTRY);
+        }
+        let e = Completion { time, flow };
+        let i = self.pos[slot];
+        if i == NO_ENTRY {
+            self.pushes += 1;
+            self.heap.push(e);
+            self.sift_up(self.heap.len() - 1, e);
+        } else {
+            self.rekeys += 1;
+            self.sift(i as usize, e);
+        }
+    }
+
+    /// Drop the entry `slot` holds, if any.
+    #[inline]
+    pub fn remove(&mut self, slot: usize) {
+        match self.pos.get(slot) {
+            Some(&i) if i != NO_ENTRY => self.take(i as usize),
+            _ => {}
+        }
+    }
+
+    /// Remove and return the earliest entry.
+    #[inline]
+    pub fn pop(&mut self) -> Option<Completion> {
+        let top = self.peek()?;
+        self.pops += 1;
+        self.take(0);
+        Some(top)
+    }
+
+    /// Vacate heap index `i`: the tail entry fills the hole and is sifted
+    /// into place.
+    fn take(&mut self, i: usize) {
+        self.pos[self.heap[i].flow.index()] = NO_ENTRY;
+        let tail = self.heap.pop().expect("index inside a non-empty heap");
+        if i < self.heap.len() {
+            self.sift(i, tail);
+        }
+    }
+
+    /// Place `e` into the hole at `i`, sifting in whichever direction its
+    /// key requires.
+    #[inline]
+    fn sift(&mut self, i: usize, e: Completion) {
+        if i > 0 && e.before(&self.heap[(i - 1) / 2]) {
+            self.sift_up(i, e);
+        } else {
+            self.sift_down(i, e);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize, e: Completion) {
+        while i > 0 {
+            let p = (i - 1) / 2;
+            let parent = self.heap[p];
+            if !e.before(&parent) {
+                break;
+            }
+            self.heap[i] = parent;
+            self.pos[parent.flow.index()] = i as u32;
+            i = p;
+        }
+        self.heap[i] = e;
+        self.pos[e.flow.index()] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize, e: Completion) {
+        let n = self.heap.len();
+        loop {
+            let mut c = 2 * i + 1;
+            if c >= n {
+                break;
+            }
+            if c + 1 < n && self.heap[c + 1].before(&self.heap[c]) {
+                c += 1;
+            }
+            let child = self.heap[c];
+            if !child.before(&e) {
+                break;
+            }
+            self.heap[i] = child;
+            self.pos[child.flow.index()] = i as u32;
+            i = c;
+        }
+        self.heap[i] = e;
+        self.pos[e.flow.index()] = i as u32;
+    }
+}
+
 /// Live population at which an [`EventListBackend::Auto`] queue migrates
 /// from the heap to the calendar. Complete-mode scenarios (a few hundred
-/// live flows/timers at most) stay on the heap; multi-day horizon runs
-/// that schedule thousands of release timers cross it immediately.
+/// live timers at most) stay on the heap; multi-day horizon runs that
+/// schedule thousands of release timers cross it immediately.
 pub(crate) const AUTO_HIGH_WATER: usize = 512;
 
-/// An entry the queues can hold. `Ord` must be a **total order written
+/// An entry the timer store can hold. `Ord` must be a **total order written
 /// inverted** (the earliest entry compares greatest) so a plain std
 /// max-heap pops min-first; the calendar relies on the same inversion to
 /// keep each bucket's earliest entry at the `Vec` tail.
@@ -100,52 +276,8 @@ pub(crate) trait EventKey: Ord + Copy {
     fn time(&self) -> f64;
 }
 
-/// A scheduled completion. Stale entries (the flow completed, was
-/// cancelled, or changed rate since the push) are detected by the epoch
-/// stamp and dropped on pop. The epoch participates as the *last*
-/// tie-break only so the order is total (a flow reschedule may leave two
-/// entries at identical `(time, flow)`); both orderings of such a pair
-/// are consumed by the same skim loop, but the calendar/heap oracle wants
-/// bit-identical pop sequences, not merely equivalent ones.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CompletionEntry {
-    pub time: f64,
-    pub flow: FlowId,
-    pub epoch: u32,
-}
-
-impl PartialEq for CompletionEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.flow == other.flow && self.epoch == other.epoch
-    }
-}
-impl Eq for CompletionEntry {}
-impl PartialOrd for CompletionEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for CompletionEntry {
-    /// Inverted: the *earliest* entry is the maximum, so a plain max-heap
-    /// pops min-first without `Reverse` wrappers.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.flow.cmp(&self.flow))
-            .then_with(|| other.epoch.cmp(&self.epoch))
-    }
-}
-
-impl EventKey for CompletionEntry {
-    #[inline]
-    fn time(&self) -> f64 {
-        self.time
-    }
-}
-
-/// Operation counters a queue accumulates; merged into [`crate::Stats`]
-/// by the engine (completions + timers).
+/// Operation counters an [`EventQueue`] accumulates; merged into
+/// [`crate::Stats`] by the engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct QueueCounters {
     /// Entries pushed.
@@ -545,15 +677,164 @@ impl<T: EventKey> EventQueue<T> {
     }
 }
 
-/// Min-first event list over completion entries.
-pub(crate) type EventList = EventQueue<CompletionEntry>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn entry(time: f64, flow: u64) -> CompletionEntry {
-        CompletionEntry { time, flow: FlowId(flow), epoch: 0 }
+    /// Test-local [`EventQueue`] key: `(time, id, seq)`, inverted like
+    /// every queue entry. `seq` only makes the order total when a schedule
+    /// repeats a `(time, id)` pair.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Key {
+        time: f64,
+        id: u64,
+        seq: u32,
+    }
+
+    impl Eq for Key {}
+    impl PartialOrd for Key {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Key {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            other
+                .time
+                .total_cmp(&self.time)
+                .then_with(|| other.id.cmp(&self.id))
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+    impl EventKey for Key {
+        fn time(&self) -> f64 {
+            self.time
+        }
+    }
+
+    type Queue = EventQueue<Key>;
+
+    fn entry(time: f64, id: u64) -> Key {
+        Key { time, id, seq: 0 }
+    }
+
+    /// The heap invariant and the position table, checked exhaustively.
+    fn assert_consistent(l: &CompletionList) {
+        for (i, e) in l.heap.iter().enumerate() {
+            assert_eq!(l.pos[e.flow.index()], i as u32, "stale position for {e:?}");
+            assert!(i == 0 || !e.before(&l.heap[(i - 1) / 2]), "heap order broken at {i}");
+        }
+        let held = l.pos.iter().filter(|&&p| p != NO_ENTRY).count();
+        assert_eq!(held, l.heap.len(), "a slot points at an entry that is gone");
+    }
+
+    #[test]
+    fn completion_list_rekeys_in_place_and_pops_in_time_then_flow_order() {
+        let mut l = CompletionList::default();
+        for (slot, t) in [(0u32, 3.0), (1, 1.0), (2, 2.0), (3, 2.0)] {
+            l.set(FlowId::compose(slot, 0), t);
+        }
+        l.set(FlowId::compose(0, 0), 0.5); // earlier: to the top
+        l.set(FlowId::compose(1, 0), 2.0); // later: ties with 2 and 3
+        assert_consistent(&l);
+        assert_eq!((l.len(), l.pushes, l.rekeys), (4, 4, 2));
+        let order: Vec<usize> = std::iter::from_fn(|| l.pop().map(|e| e.flow.index())).collect();
+        assert_eq!(order, vec![0, 1, 2, 3]);
+        assert_eq!(l.pops, 4);
+    }
+
+    #[test]
+    fn completion_list_remove_frees_the_slot_for_a_new_generation() {
+        let mut l = CompletionList::default();
+        l.set(FlowId::compose(0, 0), 1.0);
+        l.set(FlowId::compose(1, 0), 2.0);
+        l.remove(0);
+        l.remove(0); // absent: no-op
+        l.remove(7); // never seen: no-op
+        assert_eq!(l.peek().map(|e| e.flow), Some(FlowId::compose(1, 0)));
+        l.set(FlowId::compose(0, 1), 0.25);
+        assert_consistent(&l);
+        assert_eq!(l.pop().map(|e| e.flow), Some(FlowId::compose(0, 1)));
+        assert_eq!((l.pushes, l.rekeys, l.pops), (3, 0, 1));
+        l.clear();
+        assert!(l.peek().is_none());
+        assert_eq!((l.pushes, l.pops), (0, 0));
+    }
+
+    mod addressable {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One step: `(op, slot, grid)`. Times sit on a coarse grid so
+        /// equal-time ties are the rule, and 12 slots over up to 400
+        /// steps recycle every slot through many generations.
+        fn schedule() -> impl Strategy<Value = Vec<(u32, u32, u32)>> {
+            proptest::collection::vec((0u32..6, 0u32..12, 0u32..40), 1..400)
+        }
+
+        /// The naive model: each slot's entry, the minimum found by scan.
+        fn model_min(model: &[Option<Completion>]) -> Option<Completion> {
+            model
+                .iter()
+                .flatten()
+                .copied()
+                .min_by(|a, b| a.time.total_cmp(&b.time).then_with(|| a.flow.cmp(&b.flow)))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Any schedule of set / re-key earlier / re-key later /
+            /// remove / pop, with slots recycled under bumped generations,
+            /// peeks and pops exactly what a sorted model does, and the
+            /// position table is exact after every operation.
+            #[test]
+            fn matches_a_sorted_model(steps in schedule()) {
+                let mut list = CompletionList::default();
+                let mut model: Vec<Option<Completion>> = vec![None; 12];
+                let mut generation = [0u32; 12];
+                for (i, &(op, slot, grid)) in steps.iter().enumerate() {
+                    let s = slot as usize;
+                    let flow = FlowId::compose(slot, generation[s]);
+                    let step = f64::from(grid + 1) * 0.0625;
+                    match op {
+                        // 0/1: set (insert, or re-key wherever the grid says);
+                        // 2: re-key earlier; 3: re-key later.
+                        0..=3 => {
+                            let time = match (op, model[s]) {
+                                (2, Some(e)) => e.time - step,
+                                (3, Some(e)) => e.time + step,
+                                _ => step,
+                            };
+                            list.set(flow, time);
+                            model[s] = Some(Completion { time, flow });
+                        }
+                        4 => {
+                            list.remove(s);
+                            if model[s].take().is_some() {
+                                generation[s] += 1;
+                            }
+                        }
+                        _ => {
+                            let want = model_min(&model);
+                            prop_assert_eq!(list.pop(), want, "pop diverged at step {}", i);
+                            if let Some(e) = want {
+                                model[e.flow.index()] = None;
+                                generation[e.flow.index()] += 1;
+                            }
+                        }
+                    }
+                    assert_consistent(&list);
+                    prop_assert_eq!(list.peek(), model_min(&model), "peek diverged at step {}", i);
+                }
+                while let Some(want) = model_min(&model) {
+                    prop_assert_eq!(list.pop(), Some(want), "drain diverged");
+                    model[want.flow.index()] = None;
+                    assert_consistent(&list);
+                }
+                prop_assert_eq!(list.pop(), None);
+            }
+        }
     }
 
     fn backends() -> [EventListBackend; 3] {
@@ -563,7 +844,7 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         for b in backends() {
-            let mut q = EventList::with_backend(b);
+            let mut q = Queue::with_backend(b);
             for (t, f) in [(3.0, 0), (1.0, 1), (2.0, 2), (0.5, 3), (2.5, 4)] {
                 q.push(entry(t, f));
             }
@@ -573,14 +854,14 @@ mod tests {
     }
 
     #[test]
-    fn equal_times_pop_in_flow_order() {
+    fn equal_times_pop_in_id_order() {
         for b in backends() {
-            let mut q = EventList::with_backend(b);
+            let mut q = Queue::with_backend(b);
             for f in [5u64, 1, 9, 3, 7] {
                 q.push(entry(1.0, f));
             }
             q.push(entry(0.5, 100));
-            let flows: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.flow.0)).collect();
+            let flows: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.id)).collect();
             assert_eq!(flows, vec![100, 1, 3, 5, 7, 9], "backend {b}");
         }
     }
@@ -588,9 +869,9 @@ mod tests {
     #[test]
     fn interleaved_push_pop_is_total_ordered() {
         // Pseudo-random push/pop mix: every pop must be <= every entry
-        // still in the list (with the (time, flow) order).
+        // still in the list (with the (time, id) order).
         for backend in backends() {
-            let mut q = EventList::with_backend(backend);
+            let mut q = Queue::with_backend(backend);
             let mut x = 0x2545_f491u64;
             let mut live = 0usize;
             let mut last: Option<(f64, u64)> = None;
@@ -612,9 +893,9 @@ mod tests {
                     let e = q.pop().expect("live entries remain");
                     live -= 1;
                     if let Some(l) = last {
-                        assert!((e.time, e.flow.0) >= l, "order violated on {backend}");
+                        assert!((e.time, e.id) >= l, "order violated on {backend}");
                     }
-                    last = Some((e.time, e.flow.0));
+                    last = Some((e.time, e.id));
                 }
             }
             let mut prev = f64::NEG_INFINITY;
@@ -628,7 +909,7 @@ mod tests {
     #[test]
     fn clear_keeps_working() {
         for b in backends() {
-            let mut q = EventList::with_backend(b);
+            let mut q = Queue::with_backend(b);
             q.push(entry(1.0, 1));
             q.clear();
             assert!(q.peek().is_none());
@@ -639,7 +920,7 @@ mod tests {
 
     #[test]
     fn auto_migrates_at_the_high_water_mark() {
-        let mut q = EventList::with_backend(EventListBackend::Auto);
+        let mut q = Queue::with_backend(EventListBackend::Auto);
         for i in 0..(AUTO_HIGH_WATER as u64) {
             q.push(entry(i as f64 * 0.25, i));
         }
@@ -660,7 +941,7 @@ mod tests {
 
     #[test]
     fn auto_reverts_to_heap_on_clear() {
-        let mut q = EventList::with_backend(EventListBackend::Auto);
+        let mut q = Queue::with_backend(EventListBackend::Auto);
         for i in 0..=(AUTO_HIGH_WATER as u64) {
             q.push(entry(i as f64, i));
         }
@@ -672,20 +953,20 @@ mod tests {
 
     #[test]
     fn set_backend_migrates_live_entries_both_ways() {
-        let mut q = EventList::with_backend(EventListBackend::Heap);
+        let mut q = Queue::with_backend(EventListBackend::Heap);
         for (t, f) in [(3.0, 0), (1.0, 1), (1.0, 2), (0.25, 3)] {
             q.push(entry(t, f));
         }
         q.set_backend(EventListBackend::Calendar);
-        assert_eq!(q.pop().unwrap().flow.0, 3);
+        assert_eq!(q.pop().unwrap().id, 3);
         q.set_backend(EventListBackend::Heap);
-        let flows: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.flow.0)).collect();
+        let flows: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.id)).collect();
         assert_eq!(flows, vec![1, 2, 0]);
     }
 
     #[test]
     fn calendar_counts_pushes_pops_and_resizes() {
-        let mut q = EventList::with_backend(EventListBackend::Calendar);
+        let mut q = Queue::with_backend(EventListBackend::Calendar);
         // Enough entries to force several day doublings (> 2 * buckets).
         for i in 0..200u64 {
             q.push(entry((i % 37) as f64 * 0.5, i));
@@ -699,7 +980,7 @@ mod tests {
 
     #[test]
     fn width_retunes_from_the_incremental_pop_gap_estimate() {
-        let mut q = EventList::with_backend(EventListBackend::Calendar);
+        let mut q = Queue::with_backend(EventListBackend::Calendar);
         // Uniform 0.5 s gaps: every observed pop gap is exactly 0.5, so
         // the EWMA stays exactly 0.5 whatever the weight.
         for i in 0..24u64 {
@@ -718,7 +999,7 @@ mod tests {
 
     #[test]
     fn consolidation_halves_the_day_and_preserves_pop_order() {
-        let mut q = EventList::with_backend(EventListBackend::Calendar);
+        let mut q = Queue::with_backend(EventListBackend::Calendar);
         // Grow well past MIN_BUCKETS, then drain low enough to force
         // several consolidations on the way down.
         for i in 0..300u64 {
@@ -746,7 +1027,7 @@ mod tests {
     fn calendar_survives_widely_spread_times() {
         // Times spanning many orders of magnitude exercise the fruitless
         // full-day scan and its direct-search fallback.
-        let mut q = EventList::with_backend(EventListBackend::Calendar);
+        let mut q = Queue::with_backend(EventListBackend::Calendar);
         let times = [1e-6, 3.0, 4096.0, 2.5e7, 9.9e11, 0.125, 6e4];
         for (i, &t) in times.iter().enumerate() {
             q.push(entry(t, i as u64));
@@ -760,12 +1041,12 @@ mod tests {
     /// Differential harness: feed the identical schedule of pushes and
     /// pops to a heap-backed and a calendar-backed queue and demand
     /// bit-identical pop sequences (the property every trace hash in the
-    /// repo rests on). Exact-tie timestamps and recycled flow ids with
+    /// repo rests on). Exact-tie timestamps and recycled slot ids with
     /// bumped generations are injected deliberately.
     fn differential_schedule(seed: u64, steps: u32) {
-        let mut oracle = EventList::with_backend(EventListBackend::Heap);
-        let mut cal = EventList::with_backend(EventListBackend::Calendar);
-        let mut auto = EventList::with_backend(EventListBackend::Auto);
+        let mut oracle = Queue::with_backend(EventListBackend::Heap);
+        let mut cal = Queue::with_backend(EventListBackend::Calendar);
+        let mut auto = Queue::with_backend(EventListBackend::Auto);
         let mut x = seed | 1;
         let mut live = 0usize;
         for step in 0..steps {
@@ -773,16 +1054,13 @@ mod tests {
             x ^= x >> 7;
             x ^= x << 17;
             if x % 5 < 3 || live == 0 {
-                // Coarse timestamp grid => plenty of exact ties; low flow
-                // ids recycle across generations like engine slots do.
+                // Coarse timestamp grid => plenty of exact ties; low slot
+                // ids recycle across generations like timer slots do.
                 let t = (x >> 8) % 64;
                 let slot = (x >> 20) % 24;
                 let generation = (x >> 40) % 4;
-                let e = CompletionEntry {
-                    time: t as f64 * 0.125,
-                    flow: FlowId((generation << 32) | slot),
-                    epoch: step % 7,
-                };
+                let e =
+                    Key { time: t as f64 * 0.125, id: (generation << 32) | slot, seq: step % 7 };
                 oracle.push(e);
                 cal.push(e);
                 auto.push(e);
@@ -819,8 +1097,8 @@ mod tests {
 
         /// One schedule step: `Some` pushes an entry built from a coarse
         /// time grid (deliberately tie-rich), a small slot pool recycled
-        /// across generations (like engine flow slots), and an epoch
-        /// stamp; `None` pops from every backend and compares.
+        /// across generations (like timer slots), and a sequence stamp;
+        /// `None` pops from every backend and compares.
         fn schedule() -> impl Strategy<Value = Vec<Option<(u32, u32, u32, u32)>>> {
             proptest::collection::vec(
                 proptest::option::of((0u32..96, 0u32..16, 0u32..4, 0u32..8)),
@@ -836,16 +1114,16 @@ mod tests {
             /// pushes and pops, exact-tie timestamps included.
             #[test]
             fn backends_pop_bit_identically(steps in schedule()) {
-                let mut heap = EventList::with_backend(EventListBackend::Heap);
-                let mut cal = EventList::with_backend(EventListBackend::Calendar);
-                let mut auto = EventList::with_backend(EventListBackend::Auto);
+                let mut heap = Queue::with_backend(EventListBackend::Heap);
+                let mut cal = Queue::with_backend(EventListBackend::Calendar);
+                let mut auto = Queue::with_backend(EventListBackend::Auto);
                 for (i, step) in steps.iter().enumerate() {
                     match *step {
-                        Some((grid, slot, generation, epoch)) => {
-                            let e = CompletionEntry {
+                        Some((grid, slot, generation, seq)) => {
+                            let e = Key {
                                 time: f64::from(grid) * 0.0625,
-                                flow: FlowId((u64::from(generation) << 32) | u64::from(slot)),
-                                epoch,
+                                id: (u64::from(generation) << 32) | u64::from(slot),
+                                seq,
                             };
                             heap.push(e);
                             cal.push(e);

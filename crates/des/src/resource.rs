@@ -69,7 +69,10 @@ impl ResourceSpec {
     /// A contention-degrading resource (see [`CapacityModel::Degrading`]).
     pub fn degrading(base: f64, alpha: f64) -> Self {
         assert!(base.is_finite() && base > 0.0, "base capacity must be positive");
-        assert!(alpha >= 0.0, "contention coefficient must be non-negative");
+        assert!(
+            alpha.is_finite() && alpha >= 0.0,
+            "contention coefficient must be non-negative and finite, got {alpha}"
+        );
         Self { capacity: CapacityModel::Degrading { base, alpha } }
     }
 }
@@ -110,6 +113,13 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_capacity_rejected() {
         let _ = ResourceSpec::constant(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn infinite_contention_coefficient_rejected() {
+        // It would make the effective capacity exactly 0 at n >= 2.
+        let _ = ResourceSpec::degrading(20.0, f64::INFINITY);
     }
 
     #[test]

@@ -67,15 +67,22 @@ pub struct Stats {
     /// Membership-cache captures: BFS walks whose resource set was stored
     /// for subsequent solves of the same (stable) component.
     pub memb_cache_builds: u64,
-    /// Entries pushed onto the event queues (completion list + timers).
+    /// Entries inserted into the event queues: a completion entry for a
+    /// flow that held none (its first rate, or its first positive one
+    /// after a zero) plus every timer scheduled.
     pub event_pushes: u64,
-    /// Entries popped off the event queues, including stale ones.
+    /// Entries popped off the event queues: one per delivered completion
+    /// (every completion entry is live) plus timer entries, stale ones
+    /// included.
     pub event_pops: u64,
-    /// Stale entries skimmed off on pop: completion entries whose epoch
-    /// no longer matched (the flow finished, was cancelled, or changed
-    /// rate since the push) plus cancelled/retired timer entries.
+    /// Completion entries re-keyed in place because their flow's rate
+    /// changed — the completion list's unit of work per component
+    /// re-solve.
+    pub event_rekeys: u64,
+    /// Cancelled timer entries skimmed off on pop. Timer-only: a
+    /// cancelled flow's completion entry is removed on the spot.
     pub event_stale_drops: u64,
-    /// Calendar-queue resizes across both queues: day doubling/halving
+    /// Calendar-queue resizes of the timer store: day doubling/halving
     /// with width retune, plus the auto backend's heap→calendar
     /// migration.
     pub calendar_resizes: u64,

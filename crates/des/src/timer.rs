@@ -1,6 +1,6 @@
 //! Timer queue: (time, sequence) entries with lazy cancellation, backed
-//! by the same two-backend [`EventQueue`] as the completion list (so the
-//! calendar backend covers both hot queues through one code path).
+//! by the two-backend [`EventQueue`] (timers are what the
+//! [`EventListBackend`] knob selects a store for).
 //! Sequence numbers break ties deterministically so runs are reproducible
 //! regardless of allocation order.
 //!

@@ -72,8 +72,9 @@ pub struct Options {
     pub family: Option<String>,
     /// Calibration algorithm name for `calibrate`.
     pub algo: String,
-    /// `sweep --event-list heap|calendar|auto`: event-list backend
-    /// override. Pop order is identical across backends, so every trace
+    /// `sweep --event-list heap|calendar|auto`: timer-queue backend
+    /// override (completions sit in an addressable heap outside the
+    /// seam). Pop order is identical across backends, so every trace
     /// hash is too — this knob only moves wall time.
     pub event_list: Option<simcal_sim::EventListBackend>,
     /// `sweep --horizon SECS`: run each matching single-site scenario
@@ -348,10 +349,11 @@ Options:
   --engine-shards N             partitioned-DES shards per scenario (multi-site
                                 scenarios run one conservative shard per site
                                 group; traces are bit-identical at any N)
-  --event-list BACKEND          sweep event-list backend: heap, calendar, or
+  --event-list BACKEND          sweep timer-queue backend: heap, calendar, or
                                 auto (migrate to the calendar past 512 pending
-                                events); pop order — and so every trace hash —
-                                is identical across backends
+                                timers); flow completions always use the
+                                addressable heap. Pop order — and so every
+                                trace hash — is identical across backends
   --horizon SECS                sweep scenarios open-loop to this horizon with
                                 streaming P2 wait/slowdown percentiles and SLO
                                 attainment instead of running to completion

@@ -182,7 +182,8 @@ pub struct SimConfig {
     /// the load intensity of one seeded workload — without regenerating
     /// it. Workloads with all releases at 0 are unaffected by any value.
     pub release_time_scale: f64,
-    /// Event-list backend for the DES engine: binary heap (default),
+    /// Backend of the DES engine's timer queue (flow completions always
+    /// sit in the engine's addressable heap): binary heap (default),
     /// auto-tuned calendar queue, or auto (heap that migrates to the
     /// calendar past a live-population high-water mark). Pop order — and
     /// hence every trace — is identical across backends; this knob trades

@@ -594,9 +594,9 @@ impl ScenarioRegistry {
     /// completion. The submission stream is sized so the diurnal peak
     /// saturates the pool and the trough drains it — the shape that makes
     /// tail queue-wait percentiles and SLO attainment meaningful. These
-    /// are also the population generators for the calendar-queue event
-    /// list: tens of thousands of concurrent timers and flows, the regime
-    /// the `--event-list` flag targets.
+    /// are also the population generators for the calendar-queue timer
+    /// store: one release timer per arrival, thousands pending at once —
+    /// the regime the `--event-list` flag targets.
     fn push_steady_family(&mut self, scale: Scale) {
         const SALT: u64 = 0x7374_6479; // "stdy"
                                        // Full scale: two simulated days on the 48-core SCSN pool. The

@@ -77,7 +77,8 @@ pub struct SweepResult {
     /// Entries pushed onto the engine's event queues (0 for multi-site
     /// scenarios, whose per-site engines are dropped after the run).
     pub event_pushes: u64,
-    /// Stale entries skimmed off on pop across both event queues.
+    /// Cancelled timer entries skimmed off on pop (completion entries
+    /// are never stale).
     pub event_stale_drops: u64,
     /// Calendar-queue resizes (0 under the heap backend).
     pub calendar_resizes: u64,
