@@ -306,7 +306,9 @@ pub fn write_json_results() {
         };
         format!("BENCH_{stem}.json")
     });
-    let mut out = String::from("{\n  \"results\": [\n");
+    // The machine is part of the measurement: record its CPU count.
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let mut out = format!("{{\n  \"nproc\": {nproc},\n  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"id\": \"{}\", \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \

@@ -42,7 +42,7 @@
 //! single-flow swap fast path, which remains the size-1 case). Route-less
 //! churn between the pair does not invalidate candidates.
 //!
-//! ## Event-list completions and lazy progress
+//! ## The completion list and lazy progress
 //!
 //! A flow's completion time `t0 + remaining/rate` is constant while its
 //! rate is constant, so completions live in an addressable min-heap
@@ -53,7 +53,9 @@
 //! date when a flow's rate changes or the flow is observed — advancing
 //! the clock touches no per-flow state at all. Together these make the
 //! per-event cost proportional to the *touched component*, not to the
-//! number of live flows.
+//! number of live flows. Timers (user timers and flow-latency activations)
+//! sit beside it in one `std` heap with lazy generation-tagged
+//! cancellation (`timer::TimerQueue`).
 //!
 //! ## Component solve fast paths
 //!
@@ -66,7 +68,7 @@
 //! component whose flow set changes by ±k flows per timestamp. Everything
 //! else runs the allocation-free [`SolveScratch`] solver.
 
-use crate::eventlist::{CompletionList, EventListBackend};
+use crate::eventlist::CompletionList;
 use crate::flow::{FlowSpec, FlowState, FlowStatus};
 use crate::ids::{FlowId, ResourceId, Tag, TimerId};
 use crate::model::{BandwidthModel, BandwidthModelConfig, ModelDispatch};
@@ -263,34 +265,21 @@ impl Engine {
     }
 
     /// Engine statistics so far. The event-queue counters (pushes, pops,
-    /// re-keys, stale drops, calendar resizes/overflow hits) and the
-    /// bandwidth model's WAN counters are merged in from their owners at
-    /// read time.
+    /// re-keys, stale drops) and the bandwidth model's WAN counters are
+    /// merged in from their owners at read time.
     #[inline]
     pub fn stats(&self) -> Stats {
         let mut s = self.stats;
-        let c = &self.completions;
-        let (t, timer_stale) = self.timers.counters();
+        let (c, t) = (&self.completions, &self.timers);
         s.event_pushes = c.pushes + t.pushes;
         s.event_pops = c.pops + t.pops;
         s.event_rekeys = c.rekeys;
-        s.event_stale_drops = timer_stale;
-        s.calendar_resizes = t.resizes;
-        s.calendar_overflow_hits = t.overflow_hits;
+        s.event_stale_drops = t.stale_drops;
         let m = self.model.counters();
         s.wan_flows = m.wan_flows;
         s.wan_window_cuts = m.wan_window_cuts;
         s.wan_window_bumps = m.wan_window_bumps;
         s
-    }
-
-    /// Select the backing store of the timer queue (the completion list is
-    /// an addressable heap outside the backend seam). Live entries migrate
-    /// and pop order is backend-invariant (see [`EventListBackend`]), so
-    /// this only affects timing and the calendar counters; callers
-    /// normally set it right after construction or [`Engine::reset`].
-    pub fn set_event_list_backend(&mut self, backend: EventListBackend) {
-        self.timers.set_backend(backend);
     }
 
     /// Select the bandwidth model behind the seam: the default incremental
@@ -347,8 +336,8 @@ impl Engine {
             slot.resources.clear();
             self.free_comp_slots.push(s as u32);
         }
-        // The model selection survives the reset (like the event-list
-        // backend); only its per-run flow state is cleared.
+        // The model selection survives the reset; only its per-run flow
+        // state is cleared.
         self.model.reset();
         // res_mark/res_local stay valid: marks are generation-stamped.
     }
@@ -2125,8 +2114,6 @@ mod tests {
             s.flow_completions,
             "every completion pop delivers an event: {s:?}"
         );
-        assert_eq!(s.calendar_resizes, 0, "heap backend never resizes");
-        assert_eq!(s.calendar_overflow_hits, 0);
     }
 
     /// A resource whose effective capacity is exactly 0 under contention
@@ -2237,14 +2224,13 @@ mod tests {
         assert_eq!((s.event_pushes, s.event_pops, s.event_stale_drops), (0, 0, 0));
     }
 
-    /// Whole-engine differential oracle: the same chunk-pipelined,
-    /// timer-heavy schedule must produce the identical event sequence,
-    /// timestamps, and rates on every backend.
+    /// Whole-engine reuse oracle: the same chunk-pipelined, timer-heavy
+    /// schedule must produce the identical event sequence and timestamps
+    /// on a fresh engine and on one that already ran it and was `reset()`
+    /// (recycled flow/timer slots, bumped generations, kept allocations).
     #[test]
-    fn backends_deliver_identical_event_sequences() {
-        fn run(backend: EventListBackend) -> Vec<(u64, u64)> {
-            let mut e = Engine::new();
-            e.set_event_list_backend(backend);
+    fn reset_engine_replays_the_fresh_event_sequence() {
+        fn run(e: &mut Engine) -> Vec<(u64, u64)> {
             let shared = e.add_resource(ResourceSpec::constant(100.0));
             let spare = e.add_resource(ResourceSpec::constant(40.0));
             for i in 0..40u64 {
@@ -2274,9 +2260,14 @@ mod tests {
             log.push((u64::MAX, e.now().to_bits()));
             log
         }
-        let heap = run(EventListBackend::Heap);
-        assert_eq!(heap, run(EventListBackend::Calendar), "calendar diverged");
-        assert_eq!(heap, run(EventListBackend::Auto), "auto diverged");
+        let fresh = run(&mut Engine::new());
+        assert_eq!(fresh.len(), 40 + 10 + 7 + 1, "every flow, timer and reissue delivers");
+        let mut reused = Engine::new();
+        assert_eq!(run(&mut reused), fresh);
+        let first_stats = reused.stats();
+        reused.reset();
+        assert_eq!(run(&mut reused), fresh, "a reset engine diverged from a fresh one");
+        assert_eq!(reused.stats(), first_stats, "counters restart from zero on reset");
     }
 
     /// The degeneracy oracle at engine level: a flow-level model with zero

@@ -53,7 +53,6 @@ mod timer;
 mod wan;
 
 pub use engine::{Engine, Event};
-pub use eventlist::EventListBackend;
 pub use flow::{FlowSpec, FlowStatus};
 pub use ids::{FlowId, ResourceId, Tag, TimerId};
 pub use model::{BandwidthModel, BandwidthModelConfig, MaxMinModel, ModelCounters, WanSpec};

@@ -82,13 +82,6 @@ pub struct Stats {
     /// Cancelled timer entries skimmed off on pop. Timer-only: a
     /// cancelled flow's completion entry is removed on the spot.
     pub event_stale_drops: u64,
-    /// Calendar-queue resizes of the timer store: day doubling/halving
-    /// with width retune, plus the auto backend's heap→calendar
-    /// migration.
-    pub calendar_resizes: u64,
-    /// Fruitless full-day calendar scans that fell back to a direct
-    /// search over every bucket (kept near zero by width retuning).
-    pub calendar_overflow_hits: u64,
     /// WAN-annotated flows registered with the active bandwidth model
     /// (zero under the default max–min model).
     pub wan_flows: u64,

@@ -72,11 +72,6 @@ pub struct Options {
     pub family: Option<String>,
     /// Calibration algorithm name for `calibrate`.
     pub algo: String,
-    /// `sweep --event-list heap|calendar|auto`: timer-queue backend
-    /// override (completions sit in an addressable heap outside the
-    /// seam). Pop order is identical across backends, so every trace
-    /// hash is too — this knob only moves wall time.
-    pub event_list: Option<simcal_sim::EventListBackend>,
     /// `sweep --horizon SECS`: run each matching single-site scenario
     /// open-loop to this horizon with streaming SLO percentiles instead
     /// of to completion.
@@ -119,7 +114,6 @@ impl Options {
             auth_token: None,
             family: None,
             algo: "random".to_string(),
-            event_list: None,
             horizon: None,
             wan_model: None,
         };
@@ -204,11 +198,6 @@ impl Options {
                 }
                 "--family" => opts.family = Some(take("--family")?),
                 "--algo" => opts.algo = take("--algo")?,
-                "--event-list" => {
-                    opts.event_list = Some(
-                        take("--event-list")?.parse().map_err(|e| format!("--event-list: {e}"))?,
-                    )
-                }
                 "--horizon" => {
                     let h: f64 =
                         take("--horizon")?.parse().map_err(|e| format!("--horizon: {e}"))?;
@@ -238,6 +227,24 @@ impl Options {
             opts.command = "help".to_string();
         }
         Ok(opts)
+    }
+
+    /// `--horizon` and `--wan-model` edit the scenarios a `sweep` runs; no
+    /// other command reads them, so accepting them there would silently
+    /// run something other than what was asked for.
+    fn reject_sweep_only_flags(&self) -> Result<(), String> {
+        if self.command == "sweep" {
+            return Ok(());
+        }
+        let given =
+            [("--horizon", self.horizon.is_some()), ("--wan-model", self.wan_model.is_some())];
+        match given.iter().find(|(_, set)| *set) {
+            Some((flag, _)) => Err(format!(
+                "{flag} edits the scenarios a `sweep` runs; `{}` does not take it",
+                self.command
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Build the experiment context this invocation asks for.
@@ -349,22 +356,18 @@ Options:
   --engine-shards N             partitioned-DES shards per scenario (multi-site
                                 scenarios run one conservative shard per site
                                 group; traces are bit-identical at any N)
-  --event-list BACKEND          sweep timer-queue backend: heap, calendar, or
-                                auto (migrate to the calendar past 512 pending
-                                timers); flow completions always use the
-                                addressable heap. Pop order — and so every
-                                trace hash — is identical across backends
   --horizon SECS                sweep scenarios open-loop to this horizon with
                                 streaming P2 wait/slowdown percentiles and SLO
                                 attainment instead of running to completion
-                                (single-site scenarios only)
+                                (single-site scenarios only; `sweep` only)
   --wan-model MODEL             sweep bandwidth-model override: maxmin (the
                                 incremental max-min solver), flow-level (per-
                                 flow propagation delay, FIFO bottleneck queue,
                                 windowed AIMD congestion control), or
                                 flow-level-degenerate (flow-level collapsed to
                                 zero delay / unbounded window — bit-identical
-                                to maxmin, for artifact comparison)
+                                to maxmin, for artifact comparison); `sweep`
+                                only
   --stall-timeout SECS          distributed sweep zero-progress window before
                                 orphaned claims are requeued (default 30);
                                 for TCP also the per-connection heartbeat
@@ -476,11 +479,6 @@ fn run_sweep(opts: &Options) -> Result<(), String> {
     let mut grid: Vec<_> = reg.matching(pat).into_iter().map(|e| e.scenario.clone()).collect();
     if grid.is_empty() {
         return Err(format!("no scenario matches {pat:?}"));
-    }
-    if let Some(backend) = opts.event_list {
-        for sc in &mut grid {
-            sc.config.event_list = backend;
-        }
     }
     if let Some(model) = &opts.wan_model {
         if matches!(model, simcal_sim::WanModel::FlowLevel(_)) {
@@ -667,10 +665,8 @@ fn run_sweep(opts: &Options) -> Result<(), String> {
     let pushes: u64 = results.iter().map(|r| r.event_pushes).sum();
     if pushes > 0 {
         println!(
-            "event queue: {pushes} pushes, {} stale drops, {} calendar resizes, {} overflow hits",
+            "event queue: {pushes} pushes, {} stale drops",
             results.iter().map(|r| r.event_stale_drops).sum::<u64>(),
-            results.iter().map(|r| r.calendar_resizes).sum::<u64>(),
-            results.iter().map(|r| r.calendar_overflow_hits).sum::<u64>(),
         );
     }
     if let Some(dir) = &opts.out {
@@ -884,6 +880,7 @@ fn run_calibrate(opts: &Options) -> Result<(), String> {
 /// Entry point used by `main`.
 pub fn run(args: &[String]) -> Result<(), String> {
     let opts = Options::parse(args)?;
+    opts.reject_sweep_only_flags()?;
     match opts.command.as_str() {
         "help" | "--help" | "-h" => {
             println!("{HELP}");
@@ -1425,15 +1422,26 @@ mod tests {
     }
 
     #[test]
-    fn event_list_and_horizon_flags_parse() {
-        let o = parse(&["sweep", "--reduced", "--event-list", "calendar"]).unwrap();
-        assert_eq!(o.event_list, Some(simcal_sim::EventListBackend::Calendar));
-        let o = parse(&["sweep", "--reduced", "--event-list", "auto", "--horizon", "90"]).unwrap();
-        assert_eq!(o.event_list, Some(simcal_sim::EventListBackend::Auto));
+    fn horizon_flag_parses() {
+        let o = parse(&["sweep", "--reduced", "--horizon", "90"]).unwrap();
         assert_eq!(o.horizon, Some(90.0));
-        assert!(parse(&["sweep", "--event-list", "btree"]).err().unwrap().contains("--event-list"));
         assert!(parse(&["sweep", "--horizon", "-3"]).err().unwrap().contains("--horizon"));
         assert!(parse(&["sweep", "--horizon", "nan"]).err().unwrap().contains("--horizon"));
+    }
+
+    #[test]
+    fn scenario_editing_flags_are_rejected_outside_sweep() {
+        let run = |args: &[&str]| run(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+        let err =
+            run(&["calibrate", "scfn", "--reduced", "--wan-model", "flow-level"]).unwrap_err();
+        assert!(err.contains("--wan-model") && err.contains("`calibrate`"), "{err}");
+        let err = run(&["scenarios", "list", "--reduced", "--horizon", "5"]).unwrap_err();
+        assert!(err.contains("--horizon") && err.contains("`scenarios`"), "{err}");
+        // The retired timer-store knob is not a flag any more, on any command.
+        for cmd in ["sweep", "scenarios"] {
+            let err = run(&[cmd, "--reduced", "--event-list", "calendar"]).unwrap_err();
+            assert_eq!(err, "unknown argument \"--event-list\"");
+        }
     }
 
     #[test]
@@ -1448,8 +1456,6 @@ mod tests {
             "--reduced",
             "--horizon",
             "60",
-            "--event-list",
-            "auto",
             "--out",
             base.to_str().unwrap(),
         ])

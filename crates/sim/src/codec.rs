@@ -58,12 +58,14 @@ use crate::scheduler::SchedulerPolicy;
 /// holding: [] }`, a bare `Hello` advertises no capabilities), and v4
 /// decoders accept the v5 `Hello`/`Task`/`Result` envelopes unchanged
 /// because unknown fields are ignored and [`check_version`] tolerates
-/// newer versions. v6 adds the event-list backend (`event_list` on
-/// [`SimConfig`], required from v6 on, defaulting to the binary heap in
-/// older payloads — backends are trace-invariant, so the default is
-/// always safe) and the optional steady-state `horizon` spec on
+/// newer versions. v6 adds the optional steady-state `horizon` spec on
 /// scenarios (emitted only when set, like `multisite`); v6 decoders
-/// accept v1–v5 payloads unchanged. v7 adds the WAN bandwidth model
+/// accept v1–v5 payloads unchanged. (v6 also carried a timer-store
+/// selector, `event_list` on [`SimConfig`], and `calendar_resizes` /
+/// `calendar_overflow_hits` on sweep results. All three were retired in
+/// place without a bump when the store became a single heap: encoders no
+/// longer emit them and decoders ignore them like any unknown field, so a
+/// spool journaled by an older binary still resumes.) v7 adds the WAN bandwidth model
 /// (`wan_model` on [`SimConfig`], required from v7 on): `"maxmin"` or a
 /// flow-level object with propagation delay and congestion-window
 /// parameters. Pre-v7 payloads decode to [`WanModel::MaxMin`], the
@@ -1102,7 +1104,6 @@ pub fn sim_config_to_json(c: &SimConfig) -> Json {
             ]),
         ),
         ("scheduler", Json::Str(c.scheduler.label().to_string())),
-        ("event_list", Json::Str(c.event_list.as_str().to_string())),
         ("wan_model", wan_model_to_json(&c.wan_model)),
     ])
 }
@@ -1229,16 +1230,6 @@ pub fn sim_config_from_json(json: &Json, v: u64) -> Result<SimConfig, CodecError
             msg: format!("bad release time scale {release_time_scale}"),
         });
     }
-    // v1–v5 payloads predate the event-list seam: absent means the heap
-    // (bit-identical traces either way). From v6 on the field is required.
-    let event_list = if v >= 6 {
-        let label = r.str("event_list")?;
-        label
-            .parse::<simcal_des::EventListBackend>()
-            .map_err(|e| CodecError::Invalid { ty: "SimConfig", msg: e })?
-    } else {
-        simcal_des::EventListBackend::default()
-    };
     // v1–v6 payloads predate the bandwidth-model seam: absent means the
     // scalar max–min WAN, the byte-identical historical behaviour. From v7
     // on the field is required — but when present it is decoded whatever
@@ -1261,7 +1252,6 @@ pub fn sim_config_from_json(json: &Json, v: u64) -> Result<SimConfig, CodecError
         noise,
         scheduler,
         release_time_scale,
-        event_list,
         wan_model,
     })
 }

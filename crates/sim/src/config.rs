@@ -1,6 +1,6 @@
 //! Simulation configuration: hardware parameters, granularity, noise.
 
-use simcal_des::{BandwidthModelConfig, EventListBackend, FlowLevelParams};
+use simcal_des::{BandwidthModelConfig, FlowLevelParams};
 use simcal_platform::HardwareParams;
 use simcal_storage::XRootDConfig;
 
@@ -182,13 +182,6 @@ pub struct SimConfig {
     /// the load intensity of one seeded workload — without regenerating
     /// it. Workloads with all releases at 0 are unaffected by any value.
     pub release_time_scale: f64,
-    /// Backend of the DES engine's timer queue (flow completions always
-    /// sit in the engine's addressable heap): binary heap (default),
-    /// auto-tuned calendar queue, or auto (heap that migrates to the
-    /// calendar past a live-population high-water mark). Pop order — and
-    /// hence every trace — is identical across backends; this knob trades
-    /// nothing but time.
-    pub event_list: EventListBackend,
     /// Bandwidth model for the WAN resource. [`WanModel::MaxMin`] (the
     /// default) reproduces the historical traces byte for byte.
     pub wan_model: WanModel,
@@ -205,7 +198,6 @@ impl SimConfig {
             noise: NoiseConfig::none(),
             scheduler: SchedulerPolicy::default(),
             release_time_scale: 1.0,
-            event_list: EventListBackend::default(),
             wan_model: WanModel::default(),
         }
     }

@@ -70,9 +70,6 @@ pub use registry::{ScenarioEntry, ScenarioRegistry};
 pub use resources::PlatformResources;
 pub use scenario::{CacheSpec, MaterializedScenario, RunReport, Scenario, WorkloadSource};
 pub use scheduler::{Scheduler, SchedulerPolicy};
-// Re-exported so downstream crates can pick an event-list backend without
-// depending on `simcal-des` directly.
-pub use simcal_des::EventListBackend;
 // Re-exported so downstream crates can inspect or build workload sources
 // (`WorkloadSource::Spec` embeds these types) without depending on
 // `simcal-workload` directly.

@@ -594,9 +594,8 @@ impl ScenarioRegistry {
     /// completion. The submission stream is sized so the diurnal peak
     /// saturates the pool and the trough drains it — the shape that makes
     /// tail queue-wait percentiles and SLO attainment meaningful. These
-    /// are also the population generators for the calendar-queue timer
-    /// store: one release timer per arrival, thousands pending at once —
-    /// the regime the `--event-list` flag targets.
+    /// are also the deepest timer populations in the registry: one
+    /// release timer per arrival, thousands pending at once.
     fn push_steady_family(&mut self, scale: Scale) {
         const SALT: u64 = 0x7374_6479; // "stdy"
                                        // Full scale: two simulated days on the 48-core SCSN pool. The

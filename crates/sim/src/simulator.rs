@@ -171,7 +171,6 @@ impl SimSession {
 
         let engine = &mut self.engine;
         engine.reset();
-        engine.set_event_list_backend(config.event_list);
         engine.set_bandwidth_model(config.wan_model.to_engine());
         let resources = PlatformResources::build(engine, platform, &config.hardware);
         let cores: Vec<u32> = platform.nodes.iter().map(|n| n.cores).collect();
@@ -291,9 +290,7 @@ impl SimSession {
     /// slowdown percentiles are folded streaming (P²) in completion
     /// order; jobs still running when the horizon closes contribute their
     /// partial busy time to the utilization timeline but no percentile
-    /// samples. Deterministic like [`try_run`](Self::try_run), and
-    /// backend-invariant: heap, calendar, and auto event lists produce
-    /// bit-identical traces and reports.
+    /// samples. Deterministic like [`try_run`](Self::try_run).
     pub fn try_run_horizon(
         &mut self,
         platform: &PlatformSpec,
@@ -315,7 +312,6 @@ impl SimSession {
 
         let engine = &mut self.engine;
         engine.reset();
-        engine.set_event_list_backend(config.event_list);
         engine.set_bandwidth_model(config.wan_model.to_engine());
         let resources = PlatformResources::build(engine, platform, &config.hardware);
         let cores: Vec<u32> = platform.nodes.iter().map(|n| n.cores).collect();

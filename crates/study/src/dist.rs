@@ -190,8 +190,6 @@ pub(crate) fn sweep_result_to_json(r: &SweepResult) -> Json {
         ("slo_attained", json_f64(r.slo_attained)),
         ("event_pushes", json_u64(r.event_pushes)),
         ("event_stale_drops", json_u64(r.event_stale_drops)),
-        ("calendar_resizes", json_u64(r.calendar_resizes)),
-        ("calendar_overflow_hits", json_u64(r.calendar_overflow_hits)),
     ])
 }
 
@@ -251,8 +249,6 @@ pub(crate) fn sweep_result_from_json(json: &Json) -> Result<SweepResult, CodecEr
         slo_attained: v6_f64("slo_attained", 1.0)?,
         event_pushes: v6_u64("event_pushes")?,
         event_stale_drops: v6_u64("event_stale_drops")?,
-        calendar_resizes: v6_u64("calendar_resizes")?,
-        calendar_overflow_hits: v6_u64("calendar_overflow_hits")?,
     })
 }
 
@@ -1219,15 +1215,13 @@ mod tests {
             slo_attained: 0.875,
             event_pushes: 42,
             event_stale_drops: 7,
-            calendar_resizes: 3,
-            calendar_overflow_hits: 1,
         };
         let text = encode_sweep_result(&r);
         let back = decode_sweep_result(&text).unwrap();
         assert_eq!(back.fingerprint(), r.fingerprint());
         assert_eq!(back.events, r.events);
         assert_eq!(back.event_pushes, r.event_pushes);
-        assert_eq!(back.calendar_overflow_hits, r.calendar_overflow_hits);
+        assert_eq!(back.event_stale_drops, r.event_stale_drops);
         assert_eq!(encode_sweep_result(&back), text, "re-encode is byte-identical");
     }
 
@@ -1253,8 +1247,6 @@ mod tests {
                     | "slo_attained"
                     | "event_pushes"
                     | "event_stale_drops"
-                    | "calendar_resizes"
-                    | "calendar_overflow_hits"
             )
         });
         for (k, v) in fields.iter_mut() {
@@ -1269,6 +1261,32 @@ mod tests {
         assert_eq!(back.slowdown_p50, 1.0);
         assert_eq!(back.slo_attained, 1.0);
         assert_eq!(back.event_pushes, 0);
+    }
+
+    #[test]
+    fn retired_timer_store_fields_still_decode_and_are_not_re_emitted() {
+        // A spool journaled by the previous binary carries `event_list` on
+        // every scenario's config and `calendar_*` on every result;
+        // `--resume` must read both, ignore the fields, and write neither.
+        use simcal_sim::codec::{decode_scenario, encode_scenario};
+        let sc = ScenarioRegistry::reduced().scenarios().remove(0);
+        let r =
+            SweepResult::from_trace("old", &sc.run_sharded(&mut simcal_sim::SimSession::new(), 1));
+        let (task, result) = (encode_scenario(&sc), encode_sweep_result(&r));
+        assert!(!task.contains("event_list") && !result.contains("calendar"));
+        let old_task = task.replace(r#""wan_model":"#, r#""event_list":"calendar","wan_model":"#);
+        let old_result = result.replacen(
+            r#""event_pushes":"#,
+            r#""calendar_resizes":"3","calendar_overflow_hits":"1","event_pushes":"#,
+            1,
+        );
+        assert!(old_task.len() > task.len() && old_result.len() > result.len());
+        for v in [r#""v":6"#, r#""v":7"#] {
+            let back = decode_scenario(&old_task.replacen(r#""v":7"#, v, 1)).unwrap();
+            assert_eq!(encode_scenario(&back), task, "{v}: scenario re-encode differs");
+            let back = decode_sweep_result(&old_result.replacen(r#""v":7"#, v, 1)).unwrap();
+            assert_eq!(encode_sweep_result(&back), result, "{v}: result re-encode differs");
+        }
     }
 
     #[test]

@@ -80,10 +80,6 @@ pub struct SweepResult {
     /// Cancelled timer entries skimmed off on pop (completion entries
     /// are never stale).
     pub event_stale_drops: u64,
-    /// Calendar-queue resizes (0 under the heap backend).
-    pub calendar_resizes: u64,
-    /// Fruitless full-day calendar scans that fell back to direct search.
-    pub calendar_overflow_hits: u64,
     /// Wall-clock seconds this scenario's simulation took.
     pub wall_seconds: f64,
 }
@@ -180,8 +176,6 @@ impl SweepResult {
             slo_attained: 1.0,
             event_pushes: 0,
             event_stale_drops: 0,
-            calendar_resizes: 0,
-            calendar_overflow_hits: 0,
             wall_seconds: trace.wall_seconds,
         }
     }
@@ -205,9 +199,8 @@ impl SweepResult {
 
     /// The deterministic content as raw bits (name, metrics, hash) —
     /// everything except `wall_seconds` and the engine-queue counters
-    /// (which depend on the event-list backend, deliberately excluded so
-    /// heap and calendar sweeps fingerprint identically). Two runs of the
-    /// same scenario must produce equal fingerprints regardless of worker
+    /// (which the CSV artifact does not carry). Two runs of the same
+    /// scenario must produce equal fingerprints regardless of worker
     /// placement.
     pub fn fingerprint(&self) -> (String, Vec<u64>, u64, u64) {
         let mut bits: Vec<u64> = vec![
@@ -286,8 +279,6 @@ pub fn parse_sweep_csv(text: &str) -> Result<Vec<SweepResult>, String> {
             slo_attained: if cols.len() > 7 { f(13)? } else { 1.0 },
             event_pushes: 0,
             event_stale_drops: 0,
-            calendar_resizes: 0,
-            calendar_overflow_hits: 0,
             wall_seconds: 0.0,
         });
     }
@@ -638,8 +629,6 @@ impl SweepRunner {
             let st = session.engine_stats();
             r.event_pushes = st.event_pushes;
             r.event_stale_drops = st.event_stale_drops;
-            r.calendar_resizes = st.calendar_resizes;
-            r.calendar_overflow_hits = st.calendar_overflow_hits;
         }
         r.wall_seconds = wall;
         r
