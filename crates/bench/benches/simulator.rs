@@ -2,14 +2,19 @@
 //!
 //! The measured times are the per-simulation costs behind the paper's
 //! Table VI "Sim. time" column (1 s / 3 s / 30 s / 5 min on the authors'
-//! machine; proportionally scaled here).
+//! machine; proportionally scaled here). `emulator_fcsn` is the other
+//! regime of the same simulator: the jittered ground-truth emulator, whose
+//! chunks never finish in lock step, so nearly every event re-rates the
+//! shared components instead of swapping into a twin's place.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Duration;
 
-use simcal_platform::{catalog, HardwareParams};
-use simcal_sim::{simulate, SimConfig};
+use simcal_groundtruth::{ground_truth_scenario, TruthParams};
+use simcal_platform::{catalog, HardwareParams, PlatformKind};
+use simcal_sim::{simulate, SimConfig, SimSession};
 use simcal_storage::{CachePlan, XRootDConfig};
 use simcal_units as units;
 use simcal_workload::{cms_workload, scaled_cms_workload};
@@ -61,5 +66,26 @@ fn bench_granularities(c: &mut Criterion) {
     slow.finish();
 }
 
-criterion_group!(benches, bench_granularities);
+/// The ground-truth emulator on the full CMS workload: what every
+/// full-scale table, figure and `calib-paper` set-up runs per (platform,
+/// ICD) point before anything is calibrated. Per-chunk read jitter keeps
+/// completions apart (≈1 in 4 reissues finds a twin to swap with, against
+/// 97% at `paper_5min`), so each event re-solves a ~27-flow component —
+/// the regime the component clocks exist for.
+fn bench_emulator(c: &mut Criterion) {
+    let workload = Arc::new(cms_workload());
+    let truth = TruthParams::case_study();
+    let mut group = c.benchmark_group("emulator_fcsn");
+    group.sample_size(10).measurement_time(Duration::from_secs(8));
+    for (label, icd) in [("icd0", 0.0), ("icd0.5", 0.5)] {
+        let scenario = ground_truth_scenario(PlatformKind::Fcsn, &workload, &truth, icd);
+        let mut session = SimSession::new();
+        group.bench_with_input(BenchmarkId::from_parameter(label), &scenario, |b, sc| {
+            b.iter(|| black_box(sc.run(&mut session)).makespan());
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_granularities, bench_emulator);
 criterion_main!(benches);

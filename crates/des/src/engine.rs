@@ -42,19 +42,61 @@
 //! single-flow swap fast path, which remains the size-1 case). Route-less
 //! churn between the pair does not invalidate candidates.
 //!
-//! ## The completion list and lazy progress
+//! ## Scheduling completions: solo entries and component clocks
 //!
 //! A flow's completion time `t0 + remaining/rate` is constant while its
 //! rate is constant, so completions live in an addressable min-heap
-//! (`eventlist::CompletionList`): each active flow with a positive rate
-//! holds exactly one entry, re-keyed in place per *rate change* and removed
-//! on cancel, instead of scanning every live flow per event. Flow progress
-//! is settled lazily for the same reason: `remaining` is only brought up to
-//! date when a flow's rate changes or the flow is observed — advancing
-//! the clock touches no per-flow state at all. Together these make the
-//! per-event cost proportional to the *touched component*, not to the
-//! number of live flows. Timers (user timers and flow-latency activations)
-//! sit beside it in one `std` heap with lazy generation-tagged
+//! (`eventlist::CompletionList`) and flow progress is settled lazily:
+//! `remaining` is only brought up to date when a flow's rate changes or
+//! the flow is observed — advancing the clock touches no per-flow state at
+//! all. A flow is scheduled in one of two ways.
+//!
+//! **Solo.** The flow holds one entry of its own, re-keyed in place per
+//! rate change and removed on cancel. This is the path of every flow the
+//! solver rates individually: route-less flows, flows a cap binds, flows
+//! of a component with more than one share.
+//!
+//! **As a member of its component's class.** Nearly every re-solve is
+//! *uniform* — the single-resource closed form with no binding cap and the
+//! warm re-fill hand every flow of the component the same share — which is
+//! processor sharing, and processor sharing needs no per-flow work: each
+//! cached component slot carries a **component clock** (`CompClock`) with
+//! the common share `rho`, the virtual service `v` (bytes served to each
+//! member since the class formed) and the instant `t_last` at which `v`
+//! was current. A member holds a constant *finish tag* — `v` when it
+//! joined plus what it had left — in the class's own small
+//! `CompletionList`, and the class holds **one** entry in a second list,
+//! filed under its earliest member, due at `t_last + (min tag − v) / rho`.
+//! A uniform re-solve advances `v` to now, stores the new `rho`, joins the
+//! flows that are not yet members and re-keys that one entry: O(1) in the
+//! population instead of a multiply, a divide and a heap sift per member.
+//! The event loop merges the two lists in `(time, FlowId)` order; a
+//! completing member *sets* the clock to its tag (equal tags pop as one
+//! lock-step batch, and no error accumulates); a matched swap candidate's
+//! reissue takes its twin's place at `v + demand`.
+//!
+//! A class **dissolves** — every member back to an entry of its own, at
+//! the class's share, with `remaining = tag − v(now)` — when a solve's
+//! outcome is not one share (the cap sweep, the two-resource form, the
+//! general solver, where a binding window of a dynamic bandwidth model
+//! also lands) and when an attach retires the cached membership the class
+//! hangs off. The next uniform solve re-forms it.
+//!
+//! Two rules keep every same-binary identity (partitioned ≡ sequential,
+//! fresh ≡ reused engine, degenerate flow-level ≡ max–min) exact: a
+//! re-solve that returns the share a class already has leaves its clock
+//! bit-untouched (`set_rate`'s early return, lifted to the class), and `v`
+//! moves only at a change of share and at a member completion — never in
+//! [`Engine::peek_time`] or [`Engine::advance_clock`]. So redundant settles
+//! and clock moves change nothing; a settle *between* two same-instant
+//! changes is not redundant (it can form or dissolve a class on the
+//! intermediate population), and drivers that interleave settles
+//! (`partition`, via `peek_time`) do so identically in every configuration.
+//!
+//! The per-event cost is thus proportional to the *gather* of the touched
+//! component (one pass over its incidence lists), not to the number of
+//! live flows nor to a heap operation per touched flow. Timers sit beside
+//! the two lists in one `std` heap with lazy generation-tagged
 //! cancellation (`timer::TimerQueue`).
 //!
 //! ## Component solve fast paths
@@ -68,8 +110,8 @@
 //! component whose flow set changes by ±k flows per timestamp. Everything
 //! else runs the allocation-free [`SolveScratch`] solver.
 
-use crate::eventlist::CompletionList;
-use crate::flow::{FlowSpec, FlowState, FlowStatus};
+use crate::eventlist::{Completion, CompletionList};
+use crate::flow::{FlowSpec, FlowState, FlowStatus, NO_CLASS};
 use crate::ids::{FlowId, ResourceId, Tag, TimerId};
 use crate::model::{BandwidthModel, BandwidthModelConfig, ModelDispatch};
 use crate::resource::ResourceSpec;
@@ -133,6 +175,10 @@ struct CompInfo {
 struct OnEntry {
     flow: FlowId,
     hop: u32,
+    /// Whether the flow can be capped at all (a static cap, or a window
+    /// the bandwidth model drives): the gather reads the flow table only
+    /// for these.
+    capped: bool,
 }
 
 /// A cached component membership: the resource set a previous
@@ -151,6 +197,51 @@ struct CompSlot {
     stamp: u64,
     /// The member resources, in solver-local index order.
     resources: Vec<ResourceId>,
+    /// The component's clock: its flows, while one share serves them all.
+    clock: CompClock,
+}
+
+/// A component clock — processor sharing's virtual time for one cached
+/// component (see the module docs): while one share `rho` serves every
+/// flow of the component, each is a *member* with a constant finish tag,
+/// and the class is scheduled once, for when its smallest tag is served.
+#[derive(Debug, Default)]
+struct CompClock {
+    /// The share every member runs at; 0 while no class is formed (a
+    /// formed class on a collapsed resource has 0 too: nothing completes
+    /// there either way).
+    rho: f64,
+    /// Virtual service: bytes served to each member since the class
+    /// formed, as of `t_last`.
+    v: f64,
+    /// The instant `v` was last brought current: the last change of `rho`
+    /// or the last member completion.
+    t_last: f64,
+    /// The members, keyed `(tag, FlowId)`.
+    members: CompletionList,
+    /// The member the class's one scheduling entry is filed under, if it
+    /// holds one.
+    filed: Option<FlowId>,
+}
+
+impl CompClock {
+    /// Virtual service as of `now`, without moving the clock.
+    #[inline]
+    fn v_at(&self, now: f64) -> f64 {
+        self.v + self.rho * (now - self.t_last)
+    }
+
+    /// The instant a member with finish tag `tag` has been served in full
+    /// (`rho > 0`).
+    #[inline]
+    fn due(&self, tag: f64) -> f64 {
+        if tag == self.v {
+            // What the division yields, without it: the next member of a
+            // lock-step batch, due the instant the clock was set.
+            return self.t_last;
+        }
+        self.t_last + (tag - self.v) / self.rho
+    }
 }
 
 /// A resource's pointer into the membership cache: valid while the slot's
@@ -208,9 +299,19 @@ pub struct Engine {
     /// caller, delivered before anything else by [`Engine::next`].
     pending_events: Vec<Event>,
     pending_head: usize,
-    /// Addressable completion list: exactly one entry per active flow
-    /// with a positive rate, re-keyed in place when the rate changes.
+    /// Solo completions: exactly one entry per active flow with a positive
+    /// rate that is not a class member, re-keyed in place when the rate
+    /// changes.
     completions: CompletionList,
+    /// Class completions: exactly one entry per class with members and a
+    /// positive share, filed under the class's earliest member and due
+    /// when that member's tag is served.
+    class_entries: CompletionList,
+    /// Classes a reissue joined as their new earliest member; re-filed at
+    /// the next settle — once per lock-step batch, not once per reissue.
+    unfiled: Vec<u32>,
+    /// Cache slot of the component being solved (set by the gather).
+    comp_slot: usize,
     /// Number of currently active flows with a non-empty route (used to
     /// classify component solves as full/partial in [`Stats`]).
     n_active_routed: usize,
@@ -270,10 +371,10 @@ impl Engine {
     #[inline]
     pub fn stats(&self) -> Stats {
         let mut s = self.stats;
-        let (c, t) = (&self.completions, &self.timers);
-        s.event_pushes = c.pushes + t.pushes;
-        s.event_pops = c.pops + t.pops;
-        s.event_rekeys = c.rekeys;
+        let (c, k, t) = (&self.completions, &self.class_entries, &self.timers);
+        s.event_pushes = c.pushes + k.pushes + t.pushes;
+        s.event_pops = c.pops + k.pops + t.pops;
+        s.event_rekeys = c.rekeys + k.rekeys;
         s.event_stale_drops = t.stale_drops;
         let m = self.model.counters();
         s.wan_flows = m.wan_flows;
@@ -322,6 +423,8 @@ impl Engine {
         self.pending_events.clear();
         self.pending_head = 0;
         self.completions.clear();
+        self.class_entries.clear();
+        self.unfiled.clear();
         self.n_active_routed = 0;
         self.flow_mark.clear();
         self.flow_pos.clear();
@@ -334,6 +437,9 @@ impl Engine {
         for (s, slot) in self.comp_cache.iter_mut().enumerate() {
             slot.stamp += 1;
             slot.resources.clear();
+            slot.clock.members.clear();
+            slot.clock.filed = None;
+            slot.clock.rho = 0.0;
             self.free_comp_slots.push(s as u32);
         }
         // The model selection survives the reset; only its per-run flow
@@ -416,9 +522,27 @@ impl Engine {
             // and overwrites the provisional rate. A fully-matched batch
             // leaves only weak marks, which settle discards with no solve.
             let c = self.batch_candidates.swap_remove(k);
-            self.flows[id.index()].rate = c.rate;
-            self.inherit_attach(id);
-            self.schedule_completion(id);
+            // The flows of a cached component are all members of its class
+            // or all solo, and no settle has run since the twin completed:
+            // if the route still lies in a live slot whose class holds the
+            // twin's rate, the twin was a member.
+            let slot = self.inherit_attach(id);
+            match slot.filter(|&s| self.comp_cache[s as usize].clock.rho == c.rate) {
+                Some(slot) => {
+                    // Take the twin's place under the clock its completion
+                    // just set.
+                    let s = slot as usize;
+                    self.join_class(s, id);
+                    let earliest = self.comp_cache[s].clock.members.peek().map(|m| m.flow);
+                    if earliest == Some(id) && !self.unfiled.contains(&slot) {
+                        self.unfiled.push(slot);
+                    }
+                }
+                None => {
+                    self.flows[id.index()].rate = c.rate;
+                    self.schedule_completion(id);
+                }
+            }
             self.stats.swap_inherits += 1;
             if self.batch_candidates.is_empty() && self.strong_queue.is_empty() {
                 // Eager clean verdict: every batched completion has been
@@ -469,11 +593,15 @@ impl Engine {
         match self.flows[id.index()].status {
             FlowStatus::Active => {
                 // Freeze progress as of now before the rate disappears.
-                self.settle_progress(id);
+                if self.flows[id.index()].class != NO_CLASS {
+                    self.leave_class(id);
+                } else {
+                    self.settle_progress(id);
+                    self.completions.remove(id.index());
+                }
                 let f = &mut self.flows[id.index()];
                 f.status = FlowStatus::Cancelled;
                 f.rate = 0.0;
-                self.completions.remove(id.index());
                 self.model.on_end(id.index());
                 self.detach(id, false);
                 self.free_slots.push(id.index() as u32);
@@ -512,7 +640,10 @@ impl Engine {
             return 0.0;
         }
         let f = &self.flows[id.index()];
-        if f.status == FlowStatus::Active && f.rate > 0.0 {
+        if f.class != NO_CLASS {
+            let served = self.comp_cache[f.class as usize].clock.v_at(self.time);
+            (f.remaining - served).max(0.0)
+        } else if f.status == FlowStatus::Active && f.rate > 0.0 {
             (f.remaining - f.rate * (self.time - f.last_settled)).max(0.0)
         } else {
             f.remaining.max(0.0)
@@ -524,7 +655,7 @@ impl Engine {
     /// observe a consistent allocation mid-update.
     pub fn flow_rate(&self, id: FlowId) -> f64 {
         if self.is_live_id(id) {
-            self.flows[id.index()].rate
+            self.rate_of(id.index())
         } else {
             0.0
         }
@@ -555,6 +686,9 @@ impl Engine {
     /// the differential property tests) can observe settled rates without
     /// advancing time.
     pub fn settle_rates(&mut self) {
+        while let Some(c) = self.unfiled.pop() {
+            self.file_class(c as usize);
+        }
         if self.model.wants_window_update(self.time) {
             self.update_wan_windows();
         }
@@ -602,7 +736,7 @@ impl Engine {
             return Some(self.time);
         }
         self.settle_rates();
-        let t_flow = self.completions.peek().map_or(f64::INFINITY, |e| e.time);
+        let t_flow = self.peek_completion().map_or(f64::INFINITY, |e| e.time);
         let t = self.timers.peek_time().unwrap_or(f64::INFINITY).min(t_flow);
         t.is_finite().then_some(t)
     }
@@ -676,12 +810,15 @@ impl Engine {
         loop {
             self.settle_rates();
 
-            let t_flow = self.completions.peek().map_or(f64::INFINITY, |e| e.time);
+            let next_flow = self.peek_completion();
+            let t_flow = next_flow.map_or(f64::INFINITY, |e| e.time);
             let t_timer = self.timers.peek_time().unwrap_or(f64::INFINITY);
 
             if t_flow.is_infinite() && t_timer.is_infinite() {
                 debug_assert!(
-                    self.flows.iter().all(|f| f.status != FlowStatus::Active || f.rate > 0.0),
+                    (0..self.flows.len()).all(
+                        |s| self.flows[s].status != FlowStatus::Active || self.rate_of(s) > 0.0
+                    ),
                     "deadlock: active flows with zero rate and no timers"
                 );
                 return None;
@@ -719,14 +856,13 @@ impl Engine {
                 // is returned directly (so size-1 batches — the tiny-
                 // simulation steady state — bypass the buffer entirely),
                 // the rest are delivered by subsequent calls.
-                let first = self.completions.pop().expect("entry peeked above");
+                let first = next_flow.expect("t_flow is finite");
                 self.advance_to(first.time);
                 let t = first.time;
                 let tag = self.complete_flow(first.flow, t);
                 let first_ev = Event::FlowCompleted { flow: first.flow, tag };
                 let mut extra = 0u64;
-                while let Some(e) = self.completions.peek().filter(|e| e.time == t) {
-                    self.completions.pop();
+                while let Some(e) = self.peek_completion().filter(|e| e.time == t) {
                     let tag = self.complete_flow(e.flow, t);
                     self.pending_events.push(Event::FlowCompleted { flow: e.flow, tag });
                     extra += 1;
@@ -758,13 +894,53 @@ impl Engine {
         }
     }
 
-    /// Finalize a flow whose completion time arrived: settle it at zero
+    /// The earliest scheduled completion, a solo flow's entry or a
+    /// class's. The two lists merge in `(time, FlowId)` order, so
+    /// same-instant completions are delivered in id order whichever list
+    /// holds them.
+    #[inline]
+    fn peek_completion(&self) -> Option<Completion> {
+        match (self.completions.peek(), self.class_entries.peek()) {
+            (Some(s), Some(c)) => Some(if c.before(&s) { c } else { s }),
+            (s, c) => s.or(c),
+        }
+    }
+
+    /// Finalize the flow [`Engine::peek_completion`] reported, the clock
+    /// standing at its time `t`: take its entry, settle it at zero
     /// remaining, detach it, and offer it as a swap candidate for the
     /// current batch. Returns the flow's tag for event delivery.
+    ///
+    /// A class member is its class's earliest: the class clock is *set* to
+    /// the member's tag at this instant — not accumulated up to it, so
+    /// members with equal tags stay due at the same instant and pop as one
+    /// batch — and the class is re-filed under its next member.
     fn complete_flow(&mut self, id: FlowId, t: f64) -> Tag {
         let f = &mut self.flows[id.index()];
         debug_assert_eq!(f.status, FlowStatus::Active);
-        let rate = f.rate;
+        let rate = if f.class == NO_CLASS {
+            self.completions.pop();
+            f.rate
+        } else {
+            let k = &mut self.comp_cache[f.class as usize].clock;
+            let m = k.members.pop().expect("a filed class has members");
+            debug_assert_eq!(m.flow, id, "a class is filed under its earliest member");
+            (k.v, k.t_last) = (m.time, t);
+            // Counted as what it replaces: this event pops the class's
+            // entry, the next member pushes a new one.
+            self.class_entries.pops += 1;
+            let next = k.members.peek();
+            match next {
+                Some(next) => {
+                    self.class_entries.pushes += 1;
+                    self.class_entries.replace(id.index(), next.flow, k.due(next.time));
+                }
+                None => self.class_entries.remove(id.index()),
+            }
+            k.filed = next.map(|next| next.flow);
+            k.rho
+        };
+        f.class = NO_CLASS;
         f.remaining = 0.0;
         f.last_settled = t;
         f.rate = 0.0;
@@ -792,26 +968,36 @@ impl Engine {
     /// Hook a flow inheriting a swap candidate's rate into the incidence
     /// index *without* marking anything dirty: the candidate guarantees
     /// the allocation is unchanged, and its twin's dirty marks remain in
-    /// place until the batch verdict at the next settle.
-    fn inherit_attach(&mut self, id: FlowId) {
+    /// place until the batch verdict at the next settle. Returns the live
+    /// cache slot the route lies in, if any.
+    fn inherit_attach(&mut self, id: FlowId) -> Option<u32> {
         let route = std::mem::take(&mut self.flows[id.index()].route);
         debug_assert!(!route.is_empty());
         self.n_active_routed += 1;
-        self.note_attach_route(&route);
+        let slot = self.note_attach_route(&route);
+        let capped = self.is_capped(id);
         for (hop, &r) in route.as_slice().iter().enumerate() {
-            self.index_on(id, hop, r);
+            self.index_on(id, hop, r, capped);
         }
         self.flows[id.index()].route = route;
+        slot
+    }
+
+    /// Whether anything can cap the flow: a static cap, or a window the
+    /// bandwidth model drives.
+    #[inline]
+    fn is_capped(&self, id: FlowId) -> bool {
+        self.flows[id.index()].rate_cap.is_finite() || self.model.is_dynamic(id.index())
     }
 
     /// Append one incidence entry, recording its position for O(1) removal.
-    #[inline]
-    fn index_on(&mut self, id: FlowId, hop: usize, r: ResourceId) {
+    #[inline(always)]
+    fn index_on(&mut self, id: FlowId, hop: usize, r: ResourceId, capped: bool) {
         let on = &mut self.flows_on[r.index()];
         if hop < Route::INLINE {
             self.flow_pos[id.index()][hop] = on.len() as u32;
         }
-        on.push(OnEntry { flow: id, hop: hop as u32 });
+        on.push(OnEntry { flow: id, hop: hop as u32, capped });
     }
 
     /// Hook a newly-active flow into the incidence index and mark the
@@ -827,8 +1013,9 @@ impl Engine {
         self.n_active_routed += 1;
         let route = std::mem::take(&mut self.flows[id.index()].route);
         self.note_attach_route(&route);
+        let capped = self.is_capped(id);
         for (hop, &r) in route.as_slice().iter().enumerate() {
-            self.index_on(id, hop, r);
+            self.index_on(id, hop, r, capped);
             self.mark_strong(r);
         }
         self.flows[id.index()].route = route;
@@ -841,17 +1028,19 @@ impl Engine {
     /// resource — may merge components, so every cached set the route
     /// touches is retired. Detaches need no bookkeeping: removing a flow
     /// can only *split* a component, and solving the cached superset
-    /// jointly is still exact.
-    fn note_attach_route(&mut self, route: &Route) {
+    /// jointly is still exact. Returns the slot the route lies inside, when
+    /// the cache stayed valid.
+    fn note_attach_route(&mut self, route: &Route) -> Option<u32> {
         let hops = route.as_slice();
         if let Some(first) = self.comp_label_of(hops[0]) {
             if hops[1..].iter().all(|&r| self.comp_label_of(r) == Some(first)) {
-                return;
+                return Some(first.slot);
             }
         }
         for &r in hops {
             self.invalidate_comp(r);
         }
+        None
     }
 
     /// The resource's membership label, if it still points at a live slot.
@@ -866,6 +1055,7 @@ impl Engine {
     fn invalidate_comp(&mut self, r: ResourceId) {
         if let Some(label) = self.comp_label_of(r) {
             let s = label.slot as usize;
+            self.dissolve_class(s);
             self.comp_cache[s].stamp += 1;
             self.comp_cache[s].resources.clear();
             self.free_comp_slots.push(label.slot);
@@ -959,11 +1149,23 @@ impl Engine {
         f.last_settled = t;
     }
 
-    /// Assign a flow's rate, settling its progress and (re)scheduling its
-    /// completion. Skips entirely when the rate is unchanged: the
+    /// Current rate of the flow in `slot`: its own, or its class's share.
+    #[inline]
+    fn rate_of(&self, slot: usize) -> f64 {
+        let f = &self.flows[slot];
+        if f.class == NO_CLASS {
+            f.rate
+        } else {
+            self.comp_cache[f.class as usize].clock.rho
+        }
+    }
+
+    /// Assign a solo flow's rate, settling its progress and (re)scheduling
+    /// its completion. Skips entirely when the rate is unchanged: the
     /// completion prediction `last_settled + remaining/rate` is invariant
     /// under clock advances at a constant rate.
     fn set_rate(&mut self, id: FlowId, rate: f64) {
+        debug_assert_eq!(self.flows[id.index()].class, NO_CLASS);
         if self.flows[id.index()].rate == rate {
             return;
         }
@@ -985,6 +1187,122 @@ impl Engine {
         }
         let remaining = if f.is_done() { 0.0 } else { f.remaining };
         self.completions.set(id, self.time + remaining / f.rate);
+    }
+
+    /// Write back a *uniform* outcome: every flow of the component just
+    /// gathered runs at `share`. One clock update serves them all (`v`
+    /// advanced to now under the old share, the share replaced, the class's
+    /// one entry re-keyed); only flows not yet members are touched. A share
+    /// the class already has leaves its clock bit-untouched, as `set_rate`'s
+    /// early return leaves a solo flow: redundant settles are idempotent.
+    fn assign_uniform(&mut self, share: f64) {
+        let c = self.comp_slot;
+        let now = self.time;
+        let k = &mut self.comp_cache[c].clock;
+        debug_assert!(k.members.len() <= self.comp_flows.len(), "members are component flows");
+        let joiners = self.comp_flows.len() - k.members.len();
+        if k.members.len() == 0 {
+            (k.rho, k.v, k.t_last) = (share, 0.0, now);
+        } else if k.rho != share {
+            (k.rho, k.v, k.t_last) = (share, k.v_at(now), now);
+            self.stats.class_rerates += 1;
+        } else if joiners == 0 {
+            return;
+        }
+        // Fresh attaches sit at the tail of the incidence lists, so the
+        // gather collected them last: look from the end, and no further
+        // than the last non-member.
+        let mut left = joiners;
+        for i in (0..self.comp_flows.len()).rev() {
+            if left == 0 {
+                break;
+            }
+            let fid = self.comp_flows[i];
+            if self.flows[fid.index()].class == NO_CLASS {
+                self.settle_progress(fid);
+                self.completions.remove(fid.index());
+                self.join_class(c, fid);
+                left -= 1;
+            }
+        }
+        self.file_class(c);
+    }
+
+    /// Make the active solo flow `id` — settled, and holding no entry of
+    /// its own — a member of class `c`: from here on the class clock
+    /// carries its progress, under the finish tag `v(now) + remaining`.
+    /// The caller re-files the class.
+    fn join_class(&mut self, c: usize, id: FlowId) {
+        let f = &mut self.flows[id.index()];
+        debug_assert_eq!(f.last_settled, self.time, "joining requires settled progress");
+        let remaining = if f.is_done() { 0.0 } else { f.remaining };
+        let k = &mut self.comp_cache[c].clock;
+        let tag = k.v_at(self.time) + remaining;
+        k.members.set(id, tag);
+        f.remaining = tag;
+        f.class = c as u32;
+        self.stats.class_joins += 1;
+    }
+
+    /// Take the cancelled member `id` out of its class, freezing its
+    /// remaining demand as of now. The clock does not move.
+    fn leave_class(&mut self, id: FlowId) {
+        let f = &mut self.flows[id.index()];
+        let c = f.class as usize;
+        let k = &mut self.comp_cache[c].clock;
+        k.members.remove(id.index());
+        f.remaining = (f.remaining - k.v_at(self.time)).max(0.0);
+        f.last_settled = self.time;
+        f.class = NO_CLASS;
+        if k.filed == Some(id) {
+            self.file_class(c);
+        }
+    }
+
+    /// Re-file class `c`'s one scheduling entry after its clock or its
+    /// membership changed: under the class's earliest member, due when
+    /// that member's tag is served and never in the past; an empty or
+    /// share-less class holds none.
+    fn file_class(&mut self, c: usize) {
+        let k = &mut self.comp_cache[c].clock;
+        let min = k.members.peek().filter(|_| k.rho > 0.0);
+        let due = |m: Completion| k.due(m.time).max(self.time);
+        match (k.filed, min) {
+            (Some(w), Some(m)) if w != m.flow => {
+                self.class_entries.replace(w.index(), m.flow, due(m));
+            }
+            (Some(w), None) => self.class_entries.remove(w.index()),
+            (_, Some(m)) => self.class_entries.set(m.flow, due(m)),
+            (None, None) => {}
+        }
+        k.filed = min.map(|m| m.flow);
+    }
+
+    /// Hand class `c`'s members back to entries of their own, each at the
+    /// class's share with the remaining demand its tag implies now: before
+    /// a write-back a single share cannot represent, and when the cached
+    /// membership the class hangs off is retired.
+    fn dissolve_class(&mut self, c: usize) {
+        let k = &mut self.comp_cache[c].clock;
+        let (rho, served) = (k.rho, k.v_at(self.time));
+        // No share from here until a uniform solve re-forms the class (a
+        // reissue tells a member twin by the share its class holds).
+        k.rho = 0.0;
+        if k.members.len() == 0 {
+            return;
+        }
+        if let Some(w) = k.filed.take() {
+            self.class_entries.remove(w.index());
+        }
+        while let Some(m) = self.comp_cache[c].clock.members.pop_tail() {
+            let f = &mut self.flows[m.flow.index()];
+            f.class = NO_CLASS;
+            f.remaining = (m.time - served).max(0.0);
+            f.rate = rho;
+            f.last_settled = self.time;
+            self.schedule_completion(m.flow);
+        }
+        self.stats.class_dissolves += 1;
     }
 
     fn recompute_rates(&mut self) {
@@ -1090,10 +1408,7 @@ impl Engine {
         if info.min_cap >= share {
             // No cap binds: the uniform fair share.
             self.stats.closed_form_solves += 1;
-            for k in 0..self.comp_flows.len() {
-                let fid = self.comp_flows[k];
-                self.set_rate(fid, share);
-            }
+            self.assign_uniform(share);
             return true;
         }
         if n != self.comp_flows.len() {
@@ -1102,6 +1417,7 @@ impl Engine {
         // Sorted cap sweep: freeze caps below the running share (each such
         // freeze only raises the share), then give the rest the remainder.
         self.stats.closed_form_solves += 1;
+        self.dissolve_class(self.comp_slot);
         self.cap_sort.clear();
         for (k, &fid) in self.comp_flows.iter().enumerate() {
             let cap = self.model.effective_cap(fid.index(), self.flows[fid.index()].rate_cap);
@@ -1173,10 +1489,7 @@ impl Engine {
             }
         }
         self.stats.warm_refills += 1;
-        for k in 0..self.comp_flows.len() {
-            let fid = self.comp_flows[k];
-            self.set_rate(fid, share);
-        }
+        self.assign_uniform(share);
         true
     }
 
@@ -1201,6 +1514,7 @@ impl Engine {
             }
         }
         self.stats.closed_form_solves += 1;
+        self.dissolve_class(self.comp_slot);
         let eff_a = self.resources[a.index()].capacity.effective(na);
         let eff_b = self.resources[b.index()].capacity.effective(nb);
         let sa = eff_a.max(0.0) / na as f64;
@@ -1244,6 +1558,7 @@ impl Engine {
         self.comp_flows.clear();
         let mut info = CompInfo { has_cap: false, min_cap: f64::INFINITY };
         let slot = label.slot as usize;
+        self.comp_slot = slot;
         let n = self.comp_cache[slot].resources.len();
         debug_assert!(n > 0, "live slots hold at least their capture root");
         for k in 0..n {
@@ -1252,17 +1567,22 @@ impl Engine {
             self.res_local[r.index()] = k;
             self.comp_resources.push(r);
         }
-        for k in 0..n {
-            let r = self.comp_resources[k];
-            for j in 0..self.flows_on[r.index()].len() {
-                let fid = self.flows_on[r.index()][j].flow;
-                if self.flow_mark[fid.index()] == gen {
+        // The one pass over the component that no fast path avoids: split
+        // the borrows so it runs over plain slices.
+        let Engine { flows_on, flow_mark, comp_flows, flows, model, comp_resources, .. } = self;
+        for r in comp_resources.iter() {
+            for on in &flows_on[r.index()] {
+                let mark = &mut flow_mark[on.flow.index()];
+                if *mark == gen {
                     continue;
                 }
-                self.flow_mark[fid.index()] = gen;
-                self.comp_flows.push(fid);
-                let cap = self.model.effective_cap(fid.index(), self.flows[fid.index()].rate_cap);
-                info.min_cap = info.min_cap.min(cap);
+                *mark = gen;
+                comp_flows.push(on.flow);
+                if on.capped {
+                    let slot = on.flow.index();
+                    info.min_cap =
+                        info.min_cap.min(model.effective_cap(slot, flows[slot].rate_cap));
+                }
             }
         }
         info.has_cap = info.min_cap < f64::INFINITY;
@@ -1281,6 +1601,7 @@ impl Engine {
                 self.comp_cache.len() - 1
             }
         };
+        self.comp_slot = s;
         self.comp_cache[s].stamp += 1;
         let stamp = self.comp_cache[s].stamp;
         let mut resources = std::mem::take(&mut self.comp_cache[s].resources);
@@ -1362,6 +1683,7 @@ impl Engine {
             }
             scratch.solve();
         }
+        self.dissolve_class(self.comp_slot);
         let sole = self.scratch.sole_bottleneck();
         for local in 0..self.comp_resources.len() {
             let r = self.comp_resources[local];
@@ -2106,14 +2428,82 @@ mod tests {
         e.cancel_timer(t);
         e.drain();
         let s = e.stats();
-        assert_eq!(s.event_pushes, 3, "one entry per flow + 1 timer: {s:?}");
-        assert_eq!(s.event_rekeys, 1, "A re-keyed when B left: {s:?}");
+        // A and B share one clock from the first solve on: its entry is
+        // filed under B, handed to A when B completes, and moved once when
+        // A's share doubles.
+        assert_eq!((s.class_joins, s.class_rerates, s.class_dissolves), (2, 1, 0), "{s:?}");
+        assert_eq!(s.event_pushes, 3, "the class's entry under B, then under A, + 1 timer: {s:?}");
+        assert_eq!(s.event_rekeys, 1, "the class re-keyed when B left: {s:?}");
         assert_eq!(s.event_stale_drops, 1, "only the cancelled timer is ever stale: {s:?}");
         assert_eq!(
             s.event_pops - s.event_stale_drops,
             s.flow_completions,
             "every completion pop delivers an event: {s:?}"
         );
+    }
+
+    /// The clock of the component `r` belongs to, as raw bits.
+    fn clock_bits(e: &Engine, r: ResourceId) -> (u64, u64, u64, usize) {
+        let k = &e.comp_cache[e.res_comp[r.index()].slot as usize].clock;
+        (k.rho.to_bits(), k.v.to_bits(), k.t_last.to_bits(), k.members.len())
+    }
+
+    #[test]
+    fn resolve_to_the_same_share_leaves_the_clock_untouched() {
+        const SWAP: Tag = Tag(100);
+        let mut e = Engine::new();
+        let r = e.add_resource(ResourceSpec::constant(12.0));
+        let a = e.start_flow(FlowSpec::new(60.0, &[r], Tag(0xA)));
+        let b = e.start_flow(FlowSpec::new(90.0, &[r], Tag(0xB)));
+        e.start_flow(FlowSpec::new(120.0, &[r], Tag(0xC)));
+        e.set_timer(2.5, SWAP);
+        assert_eq!(e.next().unwrap().tag(), SWAP);
+        let before = clock_bits(&e, r);
+        let due = e.class_entries.peek();
+        // One leaves, one arrives, in one settle: three flows still share
+        // `r`, so the solve returns the share the class already has.
+        e.cancel_flow(b);
+        let d = e.start_flow(FlowSpec::new(100.0, &[r], Tag(0xD)));
+        e.settle_rates();
+        assert_eq!(clock_bits(&e, r), before, "only the membership changed");
+        assert_eq!(e.class_entries.peek(), due, "A is still the earliest, due when it was");
+        assert_eq!(e.stats().class_rerates, 0);
+        // The newcomer joined at the virtual time of the instant it came:
+        // 100 units at 4/s from t = 2.5.
+        assert!((e.flow_remaining(d) - 100.0).abs() < 1e-12);
+        assert!((e.flow_remaining(a) - 50.0).abs() < 1e-12);
+        assert_eq!(e.next().unwrap().tag(), Tag(0xA));
+        assert_eq!(e.next().unwrap().tag(), Tag(0xD));
+        // A left at t = 15; D had 50 left, C 60, at 6/s each from there.
+        assert!((e.now() - (15.0 + 50.0 / 6.0)).abs() < 1e-12, "now = {}", e.now());
+    }
+
+    #[test]
+    fn binding_cap_dissolves_the_class_and_a_uniform_solve_reforms_it() {
+        let mut e = Engine::new();
+        let r = e.add_resource(ResourceSpec::constant(30.0));
+        let a = e.start_flow(FlowSpec::new(300.0, &[r], Tag(0xA)));
+        let b = e.start_flow(FlowSpec::new(300.0, &[r], Tag(0xB)));
+        e.settle_rates();
+        assert_eq!(clock_bits(&e, r).3, 2, "two members at 15 each");
+        e.set_timer(4.0, Tag(1));
+        e.next().unwrap();
+        // A cap below the fair share: a single share no longer describes
+        // the component, so its flows go back to entries of their own.
+        let c = e.start_flow(FlowSpec::new(50.0, &[r], Tag(0xC)).with_cap(5.0));
+        e.settle_rates();
+        let s = e.stats();
+        assert_eq!((s.class_dissolves, clock_bits(&e, r).3), (1, 0));
+        assert_eq!((e.completions.len(), e.class_entries.len()), (3, 0));
+        assert!((e.flow_rate(a) - 12.5).abs() < 1e-12 && (e.flow_rate(c) - 5.0).abs() < 1e-12);
+        assert!((e.flow_remaining(a) - 240.0).abs() < 1e-9, "15/s for 4 s before the cap bound");
+        // The capped flow leaves at t = 14; the rest share uniformly again.
+        assert_eq!(e.next().unwrap().tag(), Tag(0xC));
+        e.settle_rates();
+        assert_eq!((clock_bits(&e, r).3, e.completions.len(), e.class_entries.len()), (2, 0, 1));
+        assert!((e.flow_remaining(b) - 115.0).abs() < 1e-9, "240 - 12.5 * 10");
+        e.next().unwrap();
+        assert!((e.now() - (14.0 + 115.0 / 15.0)).abs() < 1e-9, "now = {}", e.now());
     }
 
     /// A resource whose effective capacity is exactly 0 under contention
@@ -2137,7 +2527,11 @@ mod tests {
         // Two flows collapse the resource: A stalls at 90 remaining and must
         // not complete on the prediction made under its old rate.
         assert_eq!(e.next().unwrap().tag(), CANCEL_B);
-        assert_eq!(e.completions.len(), 0, "stalled flows hold no entry");
+        assert_eq!(
+            (e.completions.len(), e.class_entries.len()),
+            (0, 0),
+            "stalled flows hold no entry, nor does their share-less class"
+        );
         e.cancel_flow(b);
         let ev = e.next().unwrap();
         assert_eq!(ev.tag(), Tag(0xA));
@@ -2158,9 +2552,11 @@ mod tests {
 
             /// After any schedule of starts (routed, route-less, latent,
             /// capped, and onto a resource that collapses to zero capacity
-            /// under contention), cancels and event deliveries, the
-            /// completion list holds exactly one entry per active flow
-            /// with a positive rate.
+            /// under contention), cancels and event deliveries, every
+            /// active flow with a positive rate is scheduled exactly once —
+            /// an entry of its own xor membership in exactly one class —
+            /// and every class with members and a positive share holds
+            /// exactly one entry, filed under its earliest member.
             #[test]
             fn one_entry_per_rated_active_flow(steps in schedule()) {
                 const GUARD: Tag = Tag(u64::MAX);
@@ -2201,12 +2597,42 @@ mod tests {
                             }
                         }
                     }
-                    let rated = e
-                        .flows
-                        .iter()
-                        .filter(|f| f.status == FlowStatus::Active && f.rate > 0.0)
-                        .count();
-                    prop_assert_eq!(e.completions.len(), rated, "after step {} {:?}", i, steps[i]);
+                    let (mut solo, mut members) = (0, 0);
+                    for (s, f) in e.flows.iter().enumerate() {
+                        let in_classes =
+                            e.comp_cache.iter().filter(|c| c.clock.members.holds(s)).count();
+                        if f.status != FlowStatus::Active || f.class == NO_CLASS {
+                            prop_assert_eq!(in_classes, 0, "slot {} after step {}", s, i);
+                            let rated = f.status == FlowStatus::Active && f.rate > 0.0;
+                            prop_assert_eq!(e.completions.holds(s), rated, "slot {} step {}", s, i);
+                            solo += usize::from(rated);
+                        } else {
+                            let own = &e.comp_cache[f.class as usize].clock.members;
+                            prop_assert!(in_classes == 1 && own.holds(s), "slot {} step {}", s, i);
+                            prop_assert!(!e.completions.holds(s), "slot {} step {}", s, i);
+                            members += 1;
+                        }
+                    }
+                    prop_assert_eq!(e.completions.len(), solo, "after step {} {:?}", i, steps[i]);
+                    let mut filed = 0;
+                    for (slot, c) in e.comp_cache.iter().enumerate() {
+                        let k = &c.clock;
+                        members -= k.members.len();
+                        let earliest = k.members.peek().filter(|_| k.rho > 0.0).map(|m| m.flow);
+                        // A class a reissue joined as its earliest member
+                        // is re-filed at the next settle; until then its
+                        // entry sits under another member, or nowhere.
+                        if !e.unfiled.contains(&(slot as u32)) {
+                            prop_assert_eq!(k.filed, earliest, "step {}", i);
+                        }
+                        if let Some(w) = k.filed {
+                            let w = w.index();
+                            prop_assert!(e.class_entries.holds(w) && k.members.holds(w), "step {}", i);
+                            filed += 1;
+                        }
+                    }
+                    prop_assert_eq!(members, 0, "every member heap entry is a live member");
+                    prop_assert_eq!(e.class_entries.len(), filed, "after step {} {:?}", i, steps[i]);
                 }
             }
         }

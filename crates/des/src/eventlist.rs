@@ -1,25 +1,32 @@
-//! The addressable completion list: one in-place re-keyed entry per flow.
+//! The addressable completion list: one in-place re-keyed entry per key.
 //!
-//! A flow's predicted completion time changes whenever its rate does, and
-//! a component re-solve re-rates every flow it touches — on the paper's
-//! calibration loop that is ~1.3 re-rates per delivered event. The
-//! completion list is therefore an **addressable** binary min-heap
+//! A scheduled completion moves whenever the rate behind it does, so the
+//! completion list is an **addressable** binary min-heap
 //! ([`CompletionList`]) keyed `(time, flow)` that holds *at most one entry
 //! per flow slot*: a slot→heap-position table, kept current by hole-based
 //! sifts, lets [`CompletionList::set`] insert or re-key in place (sifting
 //! from the entry's current position) and [`CompletionList::remove`] drop
-//! a cancelled flow's entry, so every entry in the list is live and the
-//! heap is never deeper than the number of flows that hold a rate.
-//! Simultaneous completions pop in id order, which is deterministic but —
-//! since ids pack the slot generation in their high bits — not the flow
-//! *start* order once slots recycle.
+//! an entry, so every entry in the list is live and the heap is never
+//! deeper than the number of keys it serves. Equal times pop in id order,
+//! which is deterministic but — since ids pack the slot generation in
+//! their high bits — not the flow *start* order once slots recycle.
+//!
+//! The engine uses the one structure three ways (see its module docs):
+//! the **solo list** (one entry per rated flow the solver rates
+//! individually, keyed by completion time); each component class's
+//! **member heap** (one entry per member, the `time` field holding its
+//! constant finish *tag*, never re-keyed); and the **class list** (one
+//! entry per class with members and a positive share, filed under the
+//! class's earliest member — a uniform re-solve re-keys this one entry
+//! instead of one per member, and [`CompletionList::replace`] re-files a
+//! class under another member in a single sift).
 //!
 //! Why not a lazy heap (push a fresh stamped entry per re-rate, skim the
 //! stranded ones on pop)? Measured on `calib-paper`, that design popped
 //! 7.93 M entries for 3.42 M events and held up to ~2 200 entries for at
 //! most 96 rated flows — a flow whose share *rose* leaves a far-future
 //! corpse that stays buried — and its push + pop took 73% of the run's
-//! CPU samples (36% here, sifts and re-key arithmetic together).
+//! CPU samples.
 //!
 //! ## Timers live elsewhere
 //!
@@ -29,8 +36,9 @@
 
 use crate::ids::FlowId;
 
-/// A flow's scheduled completion: the one entry its slot holds in the
-/// [`CompletionList`].
+/// The one entry a flow slot holds in a [`CompletionList`]: a solo flow's
+/// completion time, a class member's finish tag, or — filed under its
+/// earliest member — a class's due time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Completion {
     pub time: f64,
@@ -38,11 +46,11 @@ pub(crate) struct Completion {
 }
 
 impl Completion {
-    /// Strict `(time, flow)` order. Times are never NaN (a completion time
-    /// is `now + remaining / rate` with `rate > 0`), so the float compare
-    /// is total here.
+    /// Strict `(time, flow)` order. Keys are never NaN (completion times
+    /// are `t + remaining / rate` with `rate > 0`, tags are sums of finite
+    /// demands), so the float compare is total here.
     #[inline]
-    fn before(&self, other: &Completion) -> bool {
+    pub fn before(&self, other: &Completion) -> bool {
         self.time < other.time || (self.time == other.time && self.flow < other.flow)
     }
 }
@@ -77,9 +85,15 @@ impl CompletionList {
     }
 
     /// Number of flows holding an entry.
-    #[cfg(test)]
+    #[inline]
     pub fn len(&self) -> usize {
         self.heap.len()
+    }
+
+    /// Whether `slot` holds an entry.
+    #[cfg(test)]
+    pub fn holds(&self, slot: usize) -> bool {
+        self.pos.get(slot).is_some_and(|&i| i != NO_ENTRY)
     }
 
     /// Earliest entry, if any.
@@ -89,7 +103,8 @@ impl CompletionList {
     }
 
     /// Schedule `flow`'s completion at `time`: insert its entry, or re-key
-    /// the one its slot already holds and sift from where it sits.
+    /// the one its slot already holds and sift from where it sits (a key
+    /// the entry already has is not a move and is not counted as one).
     #[inline]
     pub fn set(&mut self, flow: FlowId, time: f64) {
         debug_assert!(!time.is_nan(), "completion times are ordered by plain float compares");
@@ -103,7 +118,7 @@ impl CompletionList {
             self.pushes += 1;
             self.heap.push(e);
             self.sift_up(self.heap.len() - 1, e);
-        } else {
+        } else if self.heap[i as usize] != e {
             self.rekeys += 1;
             self.sift(i as usize, e);
         }
@@ -125,6 +140,30 @@ impl CompletionList {
         self.pops += 1;
         self.take(0);
         Some(top)
+    }
+
+    /// Hand the entry `slot` holds over to `flow` (which holds none), due at
+    /// `time`: a removal and an insert in a single sift from where the
+    /// entry sits.
+    #[inline]
+    pub fn replace(&mut self, slot: usize, flow: FlowId, time: f64) {
+        debug_assert!(!time.is_nan(), "completion times are ordered by plain float compares");
+        let i = std::mem::replace(&mut self.pos[slot], NO_ENTRY);
+        debug_assert_ne!(i, NO_ENTRY, "the outgoing slot holds an entry");
+        if flow.index() >= self.pos.len() {
+            self.pos.resize(flow.index() + 1, NO_ENTRY);
+        }
+        debug_assert_eq!(self.pos[flow.index()], NO_ENTRY, "the incoming flow holds no entry");
+        self.sift(i as usize, Completion { time, flow });
+    }
+
+    /// Remove and return *some* entry — the heap's tail, which needs no
+    /// sift. For emptying a list whose order no longer matters.
+    #[inline]
+    pub fn pop_tail(&mut self) -> Option<Completion> {
+        let e = self.heap.pop()?;
+        self.pos[e.flow.index()] = NO_ENTRY;
+        Some(e)
     }
 
     /// Vacate heap index `i`: the tail entry fills the hole and is sifted

@@ -85,14 +85,28 @@ impl FlowSpec {
         self
     }
 
+    /// Panic unless every numeric field is usable. The fields are `pub`,
+    /// so a literal `FlowSpec { .. }` bypasses the builders' asserts: a NaN
+    /// cap would reach the cap sweep's sort, a NaN latency the timer heap.
     pub(crate) fn validate(&self) {
         assert!(
             self.demand.is_finite() && self.demand >= 0.0,
             "flow demand must be non-negative and finite, got {}",
             self.demand
         );
+        if let Some(cap) = self.rate_cap {
+            assert!(cap.is_finite() && cap > 0.0, "rate cap must be positive, got {cap}");
+        }
+        assert!(
+            self.latency.is_finite() && self.latency >= 0.0,
+            "latency must be non-negative, got {}",
+            self.latency
+        );
     }
 }
+
+/// [`FlowState::class`] of a flow that is scheduled on its own.
+pub(crate) const NO_CLASS: u32 = u32::MAX;
 
 /// Internal runtime state of a flow.
 ///
@@ -100,6 +114,11 @@ impl FlowSpec {
 /// `last_settled`; the true remaining at engine time `t` is
 /// `remaining - rate * (t - last_settled)`. The engine settles a flow
 /// whenever its rate changes or it is observed.
+///
+/// While the flow is a member of a component class (`class != NO_CLASS`)
+/// the class clock carries its rate and progress instead: `remaining`
+/// holds the flow's constant finish tag in the class's virtual time, and
+/// `rate` / `last_settled` are not read.
 #[derive(Debug, Clone)]
 pub(crate) struct FlowState {
     pub demand: f64,
@@ -113,6 +132,9 @@ pub(crate) struct FlowState {
     pub route: Route,
     pub tag: Tag,
     pub status: FlowStatus,
+    /// The component class (cache slot index) the flow is a member of, or
+    /// [`NO_CLASS`]. Sits in the padding after `status`.
+    pub class: u32,
 }
 
 impl FlowState {
@@ -128,6 +150,7 @@ impl FlowState {
             route: spec.route,
             tag: spec.tag,
             status: if spec.latency > 0.0 { FlowStatus::Pending } else { FlowStatus::Active },
+            class: NO_CLASS,
         }
     }
 
@@ -180,5 +203,23 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_demand_rejected() {
         FlowSpec::new(-1.0, &[], Tag(0)).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "rate cap must be positive")]
+    fn nan_rate_cap_rejected() {
+        FlowSpec { rate_cap: Some(f64::NAN), ..FlowSpec::new(1.0, &[], Tag(0)) }.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "rate cap must be positive")]
+    fn non_positive_rate_cap_rejected() {
+        FlowSpec { rate_cap: Some(0.0), ..FlowSpec::new(1.0, &[], Tag(0)) }.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "latency must be non-negative")]
+    fn nan_latency_rejected() {
+        FlowSpec { latency: f64::NAN, ..FlowSpec::new(1.0, &[], Tag(0)) }.validate();
     }
 }

@@ -32,9 +32,10 @@ pub struct Stats {
     /// after an identically-shaped completion inherited its rate, with no
     /// solve at all (the steady state of pipelined chunk streams).
     pub swap_inherits: u64,
-    /// Cumulative flows handed to the max–min solver across all component
-    /// solves (the actual work done; a global-recompute engine would
-    /// accumulate live-flows x events here).
+    /// Cumulative flows gathered across all component solves, whichever
+    /// path answered (a global-recompute engine would accumulate
+    /// live-flows x events here). Gathering is what stays linear in the
+    /// component; re-rating it is `class_rerates` + `event_rekeys`.
     pub flows_resolved: u64,
     /// Resources registered.
     pub resources: u64,
@@ -68,20 +69,34 @@ pub struct Stats {
     /// for subsequent solves of the same (stable) component.
     pub memb_cache_builds: u64,
     /// Entries inserted into the event queues: a completion entry for a
-    /// flow that held none (its first rate, or its first positive one
-    /// after a zero) plus every timer scheduled.
+    /// solo flow that held none (its first rate, or its first positive
+    /// one after a zero), a class's entry (filed for a class that held
+    /// none, or under its next member when its earliest is delivered), plus
+    /// every timer scheduled. Joining a class's member heap is
+    /// `class_joins`, not a push.
     pub event_pushes: u64,
     /// Entries popped off the event queues: one per delivered completion
-    /// (every completion entry is live) plus timer entries, stale ones
-    /// included.
+    /// (a solo flow's entry or its class's — every one is live) plus timer
+    /// entries, stale ones included.
     pub event_pops: u64,
-    /// Completion entries re-keyed in place because their flow's rate
-    /// changed — the completion list's unit of work per component
-    /// re-solve.
+    /// Completion entries moved in place: a solo flow's because its rate
+    /// changed, a class's because the class's share did — one move
+    /// however many members the class has.
     pub event_rekeys: u64,
     /// Cancelled timer entries skimmed off on pop. Timer-only: a
     /// cancelled flow's completion entry is removed on the spot.
     pub event_stale_drops: u64,
+    /// Uniform re-solves answered by an O(1) component-clock update: the
+    /// class's virtual time was advanced and its share replaced, and no
+    /// member was touched.
+    pub class_rerates: u64,
+    /// Flows that became members of a component class (a uniform solve
+    /// reached them, or they inherited a member twin's place).
+    pub class_joins: u64,
+    /// Classes handed back to per-flow entries: a solve outcome the class
+    /// cannot represent (a binding cap, two shares, the general solver) or
+    /// a retired cached membership.
+    pub class_dissolves: u64,
     /// WAN-annotated flows registered with the active bandwidth model
     /// (zero under the default max–min model).
     pub wan_flows: u64,

@@ -3,6 +3,8 @@
 
 Usage:
     bench_gate.py COMMITTED.json FRESH.json [--threshold 4.0] [--name kernel]
+                  [--ratio 'NUM:DEN<=X' ...]
+    bench_gate.py RESULTS.json --ratio 'NUM:DEN<=X' [--ratio ...] [--name kernel]
 
 Compares per-benchmark medians between a committed baseline (the
 repository's BENCH_*.json, measured on a quiet dev box with full sample
@@ -17,11 +19,19 @@ drift. Benchmarks present on only one side are reported but never fail
 the gate (new benches land before their baseline; retired ones linger
 until the JSON is re-recorded).
 
-Exit status: 0 = every shared benchmark within threshold, 1 = regression,
-2 = bad invocation / unreadable input.
+A `--ratio NUM:DEN<=X` gate compares two medians of the *same* run (the
+fresh file, or the only file given): median(NUM) / median(DEN) must not
+exceed X. Both sides ran on one machine minutes apart, so the bound is
+machine-independent and can be tight where the absolute threshold cannot —
+e.g. `engine_rerate_storm/256f:engine_rerate_storm/16f<=6` pins how the
+re-rate path scales with the population, whatever the runner's clock.
+
+Exit status: 0 = every shared benchmark within threshold and every ratio
+within its bound, 1 = regression, 2 = bad invocation / unreadable input.
 """
 
 import json
+import re
 import sys
 
 
@@ -41,13 +51,35 @@ def load_medians(path):
     return out
 
 
+def check_ratios(label, medians, ratios):
+    """Print each same-run ratio; return the `(spec, value)` pairs past their bound."""
+    failures = []
+    for spec in ratios:
+        m = re.fullmatch(r"(.+):(.+)<=([0-9.]+)", spec)
+        if not m or m.group(1) not in medians or m.group(2) not in medians:
+            print(f"bench-gate[{label}]: bad --ratio {spec!r} (want NUM:DEN<=X over ids of the run)",
+                  file=sys.stderr)
+            sys.exit(2)
+        num, den, bound = medians[m.group(1)], medians[m.group(2)], float(m.group(3))
+        value = num / den if den > 0 else float("inf")
+        status = "FAIL" if value > bound else "ok"
+        print(f"bench-gate[{label}]: {status:4} ratio {m.group(1)} : {m.group(2)} = "
+              f"{value:.2f} (bound {bound:g})")
+        if value > bound:
+            failures.append((spec, value))
+    return failures
+
+
 def main(argv):
     args = []
     threshold = 4.0
     name = None
+    ratios = []
     it = iter(argv)
     for a in it:
-        if a == "--threshold":
+        if a == "--ratio":
+            ratios.append(next(it, ""))
+        elif a == "--threshold":
             try:
                 threshold = float(next(it))
             except (StopIteration, ValueError):
@@ -56,6 +88,10 @@ def main(argv):
             name = next(it, None)
         else:
             args.append(a)
+    if len(args) == 1 and ratios:
+        label = name or args[0]
+        failed = check_ratios(label, load_medians(args[0]), ratios)
+        sys.exit(1 if failed else 0)
     if len(args) != 2 or not threshold > 1.0:
         print(__doc__, file=sys.stderr)
         sys.exit(2)
@@ -84,10 +120,11 @@ def main(argv):
         )
         if ratio > threshold:
             failures.append((bench, ratio))
+    failures += check_ratios(label, fresh, ratios)
     if failures:
         print(
-            f"bench-gate[{label}]: {len(failures)} benchmark(s) regressed past "
-            f"{threshold:.1f}x the committed median:",
+            f"bench-gate[{label}]: {len(failures)} gate(s) failed (a benchmark past "
+            f"{threshold:.1f}x its committed median, or a same-run ratio past its bound):",
             file=sys.stderr,
         )
         for bench, ratio in failures:
