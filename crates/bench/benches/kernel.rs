@@ -147,10 +147,52 @@ fn bench_engine_rerate_storm(c: &mut Criterion) {
     group.finish();
 }
 
+/// The reissue cycle at batch size 1, the shape of the finest Table VI
+/// granularity: 32 streams on one resource whose first flows differ in
+/// size, so that — unlike the lock-step `engine_100k_events` — no two
+/// completions ever coincide, each answered by one unit flow. `renewed`
+/// reissues the completed flow's signature, so every completion parks and
+/// is renewed in place with no solve. `foreign` alternates a cap that
+/// never binds, so no reissue matches its twin: every completion parks,
+/// expires at the settle, and the fresh attach is re-solved. The same-run
+/// ratio renewed : foreign is what the matching path is worth; a matching
+/// path that silently stops matching reads ≈ 1.
+fn bench_engine_reissue(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine_reissue");
+    for (name, caps) in [("renewed", [1e6, 1e6]), ("foreign", [1e6, 2e6])] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut e = Engine::new();
+                let r = e.add_resource(ResourceSpec::constant(100.0));
+                let mut remaining = [3125u32; 32];
+                for i in 0..32 {
+                    let first = FlowSpec::new(1.0 + i as f64 / 32.0, &[r], Tag(i));
+                    e.start_flow(first.with_cap(caps[0]));
+                }
+                let mut n = 0u64;
+                while let Some(ev) = e.next() {
+                    n += 1;
+                    let i = ev.tag().0 as usize;
+                    if remaining[i] > 0 {
+                        let cap = caps[remaining[i] as usize % 2];
+                        remaining[i] -= 1;
+                        e.start_flow(FlowSpec::new(1.0, &[r], Tag(i as u64)).with_cap(cap));
+                    }
+                }
+                black_box((n, e.stats().swap_inherits))
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets =
-        bench_solver, bench_engine_events, bench_engine_components, bench_engine_rerate_storm
+    targets = bench_solver,
+        bench_engine_events,
+        bench_engine_components,
+        bench_engine_rerate_storm,
+        bench_engine_reissue
 }
 criterion_main!(benches);

@@ -21,26 +21,49 @@
 //!
 //! Chunk-pipelined workloads finish many flows at the same instant. The
 //! event loop therefore pops **every** completion sharing the
-//! earliest timestamp in one gulp: all of them are marked completed and
-//! detached up front, the events are delivered one per [`Engine::next`]
-//! call from an internal buffer, and the allocation is settled **once**
-//! for the whole batch — at most one solve per (component, timestamp)
-//! instead of one per event. Same-instant flow *activations* (latency
-//! timers expiring together) are gulped the same way. This is sound
-//! because zero simulated time passes inside a batch: no flow makes
-//! progress between the batched changes, so only the final allocation is
-//! ever observable.
+//! earliest timestamp in one gulp: all of them are marked completed up
+//! front, the events are delivered one per [`Engine::next`] call from an
+//! internal buffer, and the allocation is settled **once** for the whole
+//! batch — at most one solve per (component, timestamp) instead of one per
+//! event. Same-instant flow *activations* (latency timers expiring
+//! together) are gulped the same way. This is sound because zero simulated
+//! time passes inside a batch: no flow makes progress between the batched
+//! changes, so only the final allocation is ever observable.
 //!
-//! Each batched completion is also offered as an **identical-signature
-//! swap candidate**: when the caller reacts to a completion by starting a
-//! flow with the same (route, cap) signature — the steady state of
-//! pipelined block/chunk streams — the allocation is provably unchanged,
-//! and the new flow inherits the completed twin's rate. If *every*
-//! candidate of a batch is matched this way and nothing else touched the
-//! routed incidence, the batch's dirty marks are discarded at the next
-//! settle with **no solve at all** (the generalisation of the classic
-//! single-flow swap fast path, which remains the size-1 case). Route-less
-//! churn between the pair does not invalidate candidates.
+//! ## Parked completions: the identical-signature swap
+//!
+//! When the caller reacts to a completion by starting a flow with the same
+//! (route, cap) signature — the steady state of pipelined block/chunk
+//! streams, 97% of the events of the finest Table VI granularity — the
+//! allocation is provably unchanged: it depends only on the multiset of
+//! signatures. So a routed completion is not detached, it is **parked**:
+//! marked `Completed` (every query on its id says so), its scheduling
+//! entry taken, but its flow-table slot not freed and its incidence
+//! entries left where they are, with `{slot, rate}` noted in
+//! `batch_candidates`. A start whose signature matches a parked twin
+//! **renews** it in place: the slot's generation is bumped (retiring every
+//! id of the twin), demand / tag / status are overwritten, the `FlowId` in
+//! its incidence entries is rewritten through the position table, and the
+//! new flow takes the twin's rate — its seat in the twin's class, if it
+//! had one. No list is touched, nothing is marked dirty, and when every
+//! completion of a batch has been renewed the settle that follows has
+//! nothing to do (the classic single-flow swap is the size-1 case).
+//! Whatever is still parked when the next settle starts did change the
+//! allocation and is **expired** first — detached for real, its resources
+//! marked dirty, its slot freed.
+//!
+//! Between a batch's completions and that settle, `flows_on` therefore
+//! holds entries of flows that are not active. That is harmless only
+//! because nothing reads the incidence index in that window: attaches
+//! append to it, cancels remove from it by position, and its readers —
+//! the component gather and the solvers' `flows_on[r].len()` share counts
+//! — all run inside the settle, after the expiry. Anything new that reads
+//! `flows_on` must run after [`Engine::settle_rates`]' first step too.
+//! Route-less churn between a completion and its reissue does not disturb
+//! a parked twin; a foreign routed start or cancel marks its resources
+//! dirty, so the component is re-solved and the renewed flow's inherited
+//! rate overwritten. Flows whose cap a dynamic bandwidth model drives
+//! never park and never renew.
 //!
 //! ## Scheduling completions: solo entries and component clocks
 //!
@@ -72,8 +95,8 @@
 //! population instead of a multiply, a divide and a heap sift per member.
 //! The event loop merges the two lists in `(time, FlowId)` order; a
 //! completing member *sets* the clock to its tag (equal tags pop as one
-//! lock-step batch, and no error accumulates); a matched swap candidate's
-//! reissue takes its twin's place at `v + demand`.
+//! lock-step batch, and no error accumulates); the renewal of a parked
+//! member takes its twin's place at `v + demand`.
 //!
 //! A class **dissolves** — every member back to an entry of its own, at
 //! the class's share, with `remaining = tag − v(now)` — when a solve's
@@ -113,7 +136,7 @@
 use crate::eventlist::{Completion, CompletionList};
 use crate::flow::{FlowSpec, FlowState, FlowStatus, NO_CLASS};
 use crate::ids::{FlowId, ResourceId, Tag, TimerId};
-use crate::model::{BandwidthModel, BandwidthModelConfig, ModelDispatch};
+use crate::model::{BandwidthModel, BandwidthModelConfig, ModelDispatch, WanSpec};
 use crate::resource::ResourceSpec;
 use crate::route::Route;
 use crate::sharing::{SolveScratch, MAX_RATE};
@@ -149,14 +172,15 @@ impl Event {
     }
 }
 
-/// An identical-signature swap candidate: one completion of the current
-/// same-timestamp batch (see the module docs). Candidates live until the
-/// next settle; a start matching (route, cap) inherits `rate`.
+/// A parked completion: one routed, statically-capped completion of the
+/// current same-timestamp batch (see the module docs). Its flow-table
+/// slot still holds the finished flow's route and cap, and its incidence
+/// entries are still in place; a start with the same (route, cap) renews
+/// the slot at `rate`, and the next settle expires whatever is left.
 #[derive(Debug)]
-struct SwapCandidate {
-    route: Route,
-    /// Sentinel form: `f64::INFINITY` = uncapped.
-    rate_cap: f64,
+struct Parked {
+    slot: u32,
+    /// The rate the flow completed at: its own, or its class's share.
     rate: f64,
 }
 
@@ -258,9 +282,11 @@ pub struct Engine {
     time: f64,
     resources: Vec<ResourceSpec>,
     flows: Vec<FlowState>,
-    /// Slots of finished (completed/cancelled) flows available for reuse.
-    /// Recycling keeps the flow table sized by the number of *live* flows
-    /// — cache-resident — instead of growing by every flow ever started.
+    /// Slots of finished (completed/cancelled) flows available for reuse
+    /// (a parked completion's is not: its matching start renews it in
+    /// place, or the settle frees it). Recycling keeps the flow table
+    /// sized by the number of *live* flows — cache-resident — instead of
+    /// growing by every flow ever started.
     free_slots: Vec<u32>,
     /// Current generation of each slot (bumped when a slot is recycled);
     /// ids carry the generation they were issued under, so queries with
@@ -272,29 +298,28 @@ pub struct Engine {
     timers: TimerQueue,
     stats: Stats,
 
-    /// Incidence index: active flows crossing each resource. A flow whose
-    /// route lists a resource `k` times appears `k` times (it consumes `k`
-    /// shares, and the count feeds [`crate::CapacityModel::effective`]).
+    /// Incidence index: the flows crossing each resource — active ones,
+    /// and between a batch's completions and the next settle the parked
+    /// completions of `batch_candidates`, which nothing but the settle's
+    /// solvers reads and the settle expires first. A flow whose route lists
+    /// a resource `k` times appears `k` times (it consumes `k` shares, and
+    /// the count feeds [`crate::CapacityModel::effective`]).
     flows_on: Vec<Vec<OnEntry>>,
     /// Position of each flow's first [`Route::INLINE`] incidence entries
-    /// inside `flows_on` (indexed by slot), so detaching needs no scan;
-    /// hops beyond the inline window fall back to a scan (spilled routes
-    /// are rare).
+    /// inside `flows_on` (indexed by slot), so detaching and renewing need
+    /// no scan; hops beyond the inline window fall back to a scan (spilled
+    /// routes are rare).
     flow_pos: Vec<[u32; Route::INLINE]>,
-    /// Two-tier dirty state per resource: 0 = clean, 1 = *weak* (touched
-    /// only by batched completions, each held as a swap candidate — an
-    /// allocation-neutral change if the candidate is matched), 2 = *strong*
-    /// (touched by a foreign attach/cancel or an unmatched candidate; its
-    /// component must be re-solved).
-    dirty_res: Vec<u8>,
-    weak_queue: Vec<ResourceId>,
-    strong_queue: Vec<ResourceId>,
+    /// Whether the resource's component must be re-solved at the next
+    /// settle (it is queued in `dirty_queue`).
+    dirty_res: Vec<bool>,
+    dirty_queue: Vec<ResourceId>,
     /// Newly-activated route-less flows awaiting their O(1) rate.
     dirty_routeless: Vec<FlowId>,
-    /// Swap candidates of the current same-timestamp batch (consumed by
-    /// matching starts; unmatched ones escalate their weak marks to strong
-    /// at the next settle, which also clears the list).
-    batch_candidates: Vec<SwapCandidate>,
+    /// Parked completions of the current same-timestamp batch: renewed by
+    /// matching starts, the rest detached for real when the next settle
+    /// begins.
+    batch_candidates: Vec<Parked>,
     /// Completion events of the current batch not yet handed to the
     /// caller, delivered before anything else by [`Engine::next`].
     pending_events: Vec<Event>,
@@ -312,8 +337,9 @@ pub struct Engine {
     unfiled: Vec<u32>,
     /// Cache slot of the component being solved (set by the gather).
     comp_slot: usize,
-    /// Number of currently active flows with a non-empty route (used to
-    /// classify component solves as full/partial in [`Stats`]).
+    /// Number of flows with a non-empty route in the incidence index: the
+    /// active ones once a settle has expired the parked (used to classify
+    /// component solves as full/partial in [`Stats`]).
     n_active_routed: usize,
 
     // Generation-stamped visit marks for the component walk (no clearing
@@ -345,7 +371,7 @@ pub struct Engine {
     cap_sort: Vec<(f64, u32)>,
 
     /// The bandwidth model behind the seam (see [`BandwidthModel`]): every
-    /// cap the solver reads, the swap/weak-mark gating, per-flow WAN
+    /// cap the solver reads, the parking gate, per-flow WAN
     /// latency, and the pre-settle window hook route through it. Default
     /// is the static max–min model, whose hooks are all identity no-ops.
     model: ModelDispatch,
@@ -415,8 +441,7 @@ impl Engine {
         for v in &mut self.flows_on {
             v.clear();
         }
-        self.weak_queue.clear();
-        self.strong_queue.clear();
+        self.dirty_queue.clear();
         self.dirty_res.clear();
         self.dirty_routeless.clear();
         self.batch_candidates.clear();
@@ -460,7 +485,7 @@ impl Engine {
             self.warm_bneck.push(false);
             self.res_comp.push(CompLabel::default());
         }
-        self.dirty_res.resize(self.resources.len().max(self.dirty_res.len()), 0);
+        self.dirty_res.resize(self.resources.len().max(self.dirty_res.len()), false);
         id
     }
 
@@ -478,6 +503,9 @@ impl Engine {
         if let Some(w) = wan {
             assert!(w.bottleneck.index() < self.resources.len(), "unknown WAN bottleneck");
             spec.latency += self.model.extra_latency(w.delay);
+        }
+        if let Some(k) = self.match_parked(&spec) {
+            return self.renew(k, &spec);
         }
         let latency = spec.latency;
         let mut state = FlowState::from_spec(spec);
@@ -504,74 +532,114 @@ impl Engine {
         self.live_count += 1;
         self.stats.flows_started += 1;
         if let Some(w) = wan {
-            // Registered before the swap-candidate check below: a dynamic
-            // flow must never take the inherit fast path.
-            let cap = self.resources[w.bottleneck.index()].capacity.effective(1);
-            self.model.on_start(slot as usize, w, cap, self.time);
+            self.register_wan(slot, w);
         }
         if pending {
             // A pending flow does not change the current allocation.
             self.timers.schedule(self.time + latency, TimerKind::ActivateFlow(id));
-        } else if let Some(k) = self.match_candidate(id) {
-            // Identical-signature swap: if nothing else touched this
-            // component, the allocation depends only on the multiset of
-            // (route, cap) pairs, which is unchanged — inherit the
-            // completed twin's rate. The twin's weak dirty marks stay in
-            // place, so if something *did* change the component, the next
-            // settle re-solves it (via the strong marks of that change)
-            // and overwrites the provisional rate. A fully-matched batch
-            // leaves only weak marks, which settle discards with no solve.
-            let c = self.batch_candidates.swap_remove(k);
-            // The flows of a cached component are all members of its class
-            // or all solo, and no settle has run since the twin completed:
-            // if the route still lies in a live slot whose class holds the
-            // twin's rate, the twin was a member.
-            let slot = self.inherit_attach(id);
-            match slot.filter(|&s| self.comp_cache[s as usize].clock.rho == c.rate) {
-                Some(slot) => {
-                    // Take the twin's place under the clock its completion
-                    // just set.
-                    let s = slot as usize;
-                    self.join_class(s, id);
-                    let earliest = self.comp_cache[s].clock.members.peek().map(|m| m.flow);
-                    if earliest == Some(id) && !self.unfiled.contains(&slot) {
-                        self.unfiled.push(slot);
-                    }
-                }
-                None => {
-                    self.flows[id.index()].rate = c.rate;
-                    self.schedule_completion(id);
-                }
-            }
-            self.stats.swap_inherits += 1;
-            if self.batch_candidates.is_empty() && self.strong_queue.is_empty() {
-                // Eager clean verdict: every batched completion has been
-                // matched and nothing foreign touched the routed
-                // incidence — drop the weak marks now and skip the settle
-                // entirely (the steady state of pipelined streams costs
-                // no recompute pass at all).
-                self.discard_weak_marks();
-            }
         } else {
             self.attach(id);
         }
         id
     }
 
-    /// Index of a batch candidate with this flow's exact (route, cap)
-    /// signature. Identical signatures always receive identical max–min
-    /// rates, so any match is valid — except for flows whose effective cap
-    /// the bandwidth model drives dynamically: an inherited rate would
-    /// bake in the twin's (stale) cap, so they always take a real attach.
-    fn match_candidate(&self, id: FlowId) -> Option<usize> {
-        if self.batch_candidates.is_empty() {
+    /// Register a WAN-annotated flow with the bandwidth model.
+    fn register_wan(&mut self, slot: u32, w: WanSpec) {
+        let cap = self.resources[w.bottleneck.index()].capacity.effective(1);
+        self.model.on_start(slot as usize, w, cap, self.time);
+    }
+
+    /// Index of a parked completion with this spec's exact (route, cap)
+    /// signature, for a flow that starts consuming at once. Identical
+    /// signatures always receive identical max–min rates, so any match is
+    /// valid — except for a flow whose effective cap the bandwidth model
+    /// will drive dynamically: an inherited rate would bake in the twin's
+    /// (stale) cap, so it always takes a real attach.
+    fn match_parked(&self, spec: &FlowSpec) -> Option<usize> {
+        if self.batch_candidates.is_empty() || spec.route.is_empty() || spec.latency > 0.0 {
             return None;
         }
-        let f = &self.flows[id.index()];
-        if f.route.is_empty() || self.model.is_dynamic(id.index()) {
+        if spec.wan.is_some() && self.model.is_windowed() {
             return None;
         }
-        self.batch_candidates.iter().position(|c| c.rate_cap == f.rate_cap && c.route == f.route)
+        let cap = spec.rate_cap.unwrap_or(f64::INFINITY);
+        self.batch_candidates.iter().position(|p| {
+            let twin = &self.flows[p.slot as usize];
+            twin.rate_cap == cap && twin.route == spec.route
+        })
+    }
+
+    /// Identical-signature swap: start `spec` as the renewal of parked
+    /// completion `k`. The allocation depends only on the multiset of
+    /// (route, cap) pairs, which the pair leaves unchanged, so nothing is
+    /// marked dirty and the new flow takes over its twin's slot (under a
+    /// new generation: every id of the twin is retired), its incidence
+    /// entries, and its rate — the twin's seat in its class, if it had one.
+    /// If something else *did* change the component, that change's dirty
+    /// marks make the next settle re-solve it and overwrite the
+    /// provisional rate.
+    fn renew(&mut self, k: usize, spec: &FlowSpec) -> FlowId {
+        let Parked { slot, rate } = self.batch_candidates.swap_remove(k);
+        let s = slot as usize;
+        self.slot_gen[s] += 1;
+        let id = FlowId::compose(slot, self.slot_gen[s]);
+        let f = &mut self.flows[s];
+        debug_assert!(f.status == FlowStatus::Completed && f.class == NO_CLASS && f.rate == 0.0);
+        (f.demand, f.remaining, f.tag) = (spec.demand, spec.demand, spec.tag);
+        (f.status, f.last_settled) = (FlowStatus::Active, self.time);
+        for (hop, &r) in f.route.as_slice().iter().enumerate() {
+            let pos = Self::incidence_pos(&self.flows_on[r.index()], &self.flow_pos[s], s, hop);
+            self.flows_on[r.index()][pos].flow = id;
+        }
+        let r0 = f.route.as_slice()[0];
+        // No settle has run since the twin completed, so its route still
+        // lies in one cached slot or in none, and the flows of a cached
+        // component are all members of its class or all solo: a class that
+        // still holds the twin's rate is one the twin was a member of.
+        let class = self.comp_label_of(r0).map(|label| label.slot);
+        self.live_count += 1;
+        self.stats.flows_started += 1;
+        if let Some(w) = spec.wan {
+            self.register_wan(slot, w);
+        }
+        match class.filter(|&c| self.comp_cache[c as usize].clock.rho == rate) {
+            Some(c) => {
+                // Take the twin's place under the clock its completion
+                // just set.
+                self.join_class(c as usize, id);
+                let earliest = self.comp_cache[c as usize].clock.members.peek().map(|m| m.flow);
+                if earliest == Some(id) && !self.unfiled.contains(&c) {
+                    self.unfiled.push(c);
+                }
+            }
+            None => {
+                self.flows[s].rate = rate;
+                self.schedule_completion(id);
+            }
+        }
+        self.stats.swap_inherits += 1;
+        if self.batch_candidates.is_empty() && self.dirty_queue.is_empty() {
+            // Every completion of the batch has been renewed and nothing
+            // foreign touched the routed incidence: the settle that
+            // follows finds nothing to do.
+            self.stats.clean_batch_settles += 1;
+        }
+        id
+    }
+
+    /// Where the `hop`-th incidence entry of the flow in `slot` sits in
+    /// `on`, its hop's resource list.
+    #[inline]
+    fn incidence_pos(on: &[OnEntry], pos: &[u32; Route::INLINE], slot: usize, hop: usize) -> usize {
+        if hop < Route::INLINE {
+            pos[hop] as usize
+        } else {
+            // Spilled long routes: positions beyond the inline window are
+            // not tracked; fall back to a scan.
+            on.iter()
+                .position(|e| e.flow.index() == slot && e.hop as usize == hop)
+                .expect("flow indexed on its route")
+        }
     }
 
     /// Whether `id`'s slot still belongs to the flow it was issued for
@@ -603,7 +671,7 @@ impl Engine {
                 f.status = FlowStatus::Cancelled;
                 f.rate = 0.0;
                 self.model.on_end(id.index());
-                self.detach(id, false);
+                self.detach(id);
                 self.free_slots.push(id.index() as u32);
                 self.live_count -= 1;
                 self.stats.flows_cancelled += 1;
@@ -662,7 +730,9 @@ impl Engine {
     }
 
     /// Status of a flow. Terminal states stay exact until the flow's slot
-    /// is recycled by a later start; after that, the flow reads as
+    /// is recycled by a later start — for a completed routed flow that can
+    /// be the very next one: a start with its (route, cap) signature at the
+    /// same instant renews its slot in place. After that, the flow reads as
     /// [`FlowStatus::Completed`] (cancelled-then-recycled flows collapse
     /// into it — callers needing the distinction must query before
     /// starting new flows).
@@ -686,22 +756,36 @@ impl Engine {
     /// the differential property tests) can observe settled rates without
     /// advancing time.
     pub fn settle_rates(&mut self) {
+        // First of all: nothing below may see a parked completion in the
+        // incidence index.
+        if !self.batch_candidates.is_empty() {
+            self.expire_parked();
+        }
         while let Some(c) = self.unfiled.pop() {
             self.file_class(c as usize);
         }
         if self.model.wants_window_update(self.time) {
             self.update_wan_windows();
         }
-        if !self.dirty_routeless.is_empty()
-            || !self.weak_queue.is_empty()
-            || !self.strong_queue.is_empty()
-        {
+        if !self.dirty_routeless.is_empty() || !self.dirty_queue.is_empty() {
             self.recompute_rates();
         }
     }
 
+    /// Detach for real every completion still parked: no start renewed
+    /// it, so it did change the allocation.
+    fn expire_parked(&mut self) {
+        for k in 0..self.batch_candidates.len() {
+            let slot = self.batch_candidates[k].slot;
+            self.detach(FlowId::compose(slot, self.slot_gen[slot as usize]));
+            self.free_slots.push(slot);
+        }
+        self.stats.parked_expired += self.batch_candidates.len() as u64;
+        self.batch_candidates.clear();
+    }
+
     /// Let the bandwidth model evolve its congestion windows to `now`, then
-    /// mark the routes of every flow whose effective cap changed strongly so
+    /// mark the routes of every flow whose effective cap changed dirty so
     /// the settle that follows re-solves them under the new caps.
     fn update_wan_windows(&mut self) {
         let mut changed = std::mem::take(&mut self.wan_changed);
@@ -713,7 +797,7 @@ impl Engine {
             }
             let route = std::mem::take(&mut self.flows[slot as usize].route);
             for &r in route.as_slice() {
-                self.mark_strong(r);
+                self.mark_dirty(r);
             }
             self.flows[slot as usize].route = route;
         }
@@ -908,8 +992,9 @@ impl Engine {
 
     /// Finalize the flow [`Engine::peek_completion`] reported, the clock
     /// standing at its time `t`: take its entry, settle it at zero
-    /// remaining, detach it, and offer it as a swap candidate for the
-    /// current batch. Returns the flow's tag for event delivery.
+    /// remaining, and park it for a matching start of the current batch to
+    /// renew (or, route-less or dynamically capped, detach it and free its
+    /// slot). Returns the flow's tag for event delivery.
     ///
     /// A class member is its class's earliest: the class clock is *set* to
     /// the member's tag at this instant — not accumulated up to it, so
@@ -946,41 +1031,22 @@ impl Engine {
         f.rate = 0.0;
         f.status = FlowStatus::Completed;
         let tag = f.tag;
-        let rate_cap = f.rate_cap;
-        // A dynamically-capped flow's departure changes the queue occupancy
-        // every co-bottlenecked flow sees, so it must mark strongly and must
-        // not offer its (stale-capped) rate for inheritance.
-        let dynamic = self.model.is_dynamic(id.index());
+        // Route-less completions leave no dirty marks and their reissues
+        // are O(1) anyway. A dynamically-capped flow's departure changes
+        // the queue occupancy every co-bottlenecked flow sees, so it must
+        // be re-solved and must not offer its (stale-capped) rate for
+        // inheritance. Every other completion parks.
+        let park = !f.route.is_empty() && !self.model.is_dynamic(id.index());
         self.model.on_end(id.index());
-        self.detach(id, !dynamic);
-        let route = std::mem::take(&mut self.flows[id.index()].route);
-        if !route.is_empty() && !dynamic {
-            // Route-less completions leave no dirty marks and their
-            // reissues are O(1) anyway; only routed ones need candidates.
-            self.batch_candidates.push(SwapCandidate { route, rate_cap, rate });
+        if park {
+            self.batch_candidates.push(Parked { slot: id.index() as u32, rate });
+        } else {
+            self.detach(id);
+            self.free_slots.push(id.index() as u32);
         }
-        self.free_slots.push(id.index() as u32);
         self.live_count -= 1;
         self.stats.flow_completions += 1;
         tag
-    }
-
-    /// Hook a flow inheriting a swap candidate's rate into the incidence
-    /// index *without* marking anything dirty: the candidate guarantees
-    /// the allocation is unchanged, and its twin's dirty marks remain in
-    /// place until the batch verdict at the next settle. Returns the live
-    /// cache slot the route lies in, if any.
-    fn inherit_attach(&mut self, id: FlowId) -> Option<u32> {
-        let route = std::mem::take(&mut self.flows[id.index()].route);
-        debug_assert!(!route.is_empty());
-        self.n_active_routed += 1;
-        let slot = self.note_attach_route(&route);
-        let capped = self.is_capped(id);
-        for (hop, &r) in route.as_slice().iter().enumerate() {
-            self.index_on(id, hop, r, capped);
-        }
-        self.flows[id.index()].route = route;
-        slot
     }
 
     /// Whether anything can cap the flow: a static cap, or a window the
@@ -1001,12 +1067,12 @@ impl Engine {
     }
 
     /// Hook a newly-active flow into the incidence index and mark the
-    /// touched part of the allocation strongly dirty.
+    /// touched part of the allocation dirty.
     fn attach(&mut self, id: FlowId) {
         debug_assert_eq!(self.flows[id.index()].status, FlowStatus::Active);
         if self.flows[id.index()].route.is_empty() {
             // A route-less flow shares nothing, so it cannot change the
-            // routed multiset: pending swap candidates stay valid.
+            // routed multiset: parked completions stay renewable.
             self.dirty_routeless.push(id);
             return;
         }
@@ -1016,7 +1082,7 @@ impl Engine {
         let capped = self.is_capped(id);
         for (hop, &r) in route.as_slice().iter().enumerate() {
             self.index_on(id, hop, r, capped);
-            self.mark_strong(r);
+            self.mark_dirty(r);
         }
         self.flows[id.index()].route = route;
     }
@@ -1028,19 +1094,17 @@ impl Engine {
     /// resource — may merge components, so every cached set the route
     /// touches is retired. Detaches need no bookkeeping: removing a flow
     /// can only *split* a component, and solving the cached superset
-    /// jointly is still exact. Returns the slot the route lies inside, when
-    /// the cache stayed valid.
-    fn note_attach_route(&mut self, route: &Route) -> Option<u32> {
+    /// jointly is still exact.
+    fn note_attach_route(&mut self, route: &Route) {
         let hops = route.as_slice();
         if let Some(first) = self.comp_label_of(hops[0]) {
             if hops[1..].iter().all(|&r| self.comp_label_of(r) == Some(first)) {
-                return Some(first.slot);
+                return;
             }
         }
         for &r in hops {
             self.invalidate_comp(r);
         }
-        None
     }
 
     /// The resource's membership label, if it still points at a live slot.
@@ -1062,27 +1126,16 @@ impl Engine {
         }
     }
 
-    /// Remove a no-longer-active flow from the incidence index. Batched
-    /// completions mark their resources *weakly* (`weak: true`) — the
-    /// change is allocation-neutral if the flow's swap candidate gets
-    /// matched; cancellations mark strongly.
-    fn detach(&mut self, id: FlowId, weak: bool) {
+    /// Remove a no-longer-active flow from the incidence index and mark
+    /// what it crossed dirty.
+    fn detach(&mut self, id: FlowId) {
         let route = std::mem::take(&mut self.flows[id.index()].route);
         if !route.is_empty() {
             self.n_active_routed -= 1;
         }
         for (hop, &r) in route.as_slice().iter().enumerate() {
-            let pos = if hop < Route::INLINE {
-                self.flow_pos[id.index()][hop] as usize
-            } else {
-                // Spilled long routes: positions beyond the inline window
-                // are not tracked; fall back to a scan.
-                self.flows_on[r.index()]
-                    .iter()
-                    .position(|e| e.flow == id && e.hop as usize == hop)
-                    .expect("flow indexed on its route")
-            };
             let on = &mut self.flows_on[r.index()];
+            let pos = Self::incidence_pos(on, &self.flow_pos[id.index()], id.index(), hop);
             debug_assert!(on[pos].flow == id && on[pos].hop as usize == hop);
             on.swap_remove(pos);
             if pos < on.len() {
@@ -1091,44 +1144,16 @@ impl Engine {
                     self.flow_pos[moved.flow.index()][moved.hop as usize] = pos as u32;
                 }
             }
-            if weak {
-                self.mark_weak(r);
-            } else {
-                self.mark_strong(r);
-            }
+            self.mark_dirty(r);
         }
         self.flows[id.index()].route = route;
     }
 
-    /// Drop all weak dirty marks without solving, counting one clean-batch
-    /// settle. Callers must have established that every weak mark belongs
-    /// to a matched completion/reissue pair (no strong marks, no unmatched
-    /// candidates): the allocation is provably unchanged.
-    fn discard_weak_marks(&mut self) {
-        debug_assert!(self.strong_queue.is_empty() && self.batch_candidates.is_empty());
-        if !self.weak_queue.is_empty() {
-            self.stats.clean_batch_settles += 1;
-            for k in 0..self.weak_queue.len() {
-                let r = self.weak_queue[k];
-                self.dirty_res[r.index()] = 0;
-            }
-            self.weak_queue.clear();
-        }
-    }
-
     #[inline]
-    fn mark_weak(&mut self, r: ResourceId) {
-        if self.dirty_res[r.index()] == 0 {
-            self.dirty_res[r.index()] = 1;
-            self.weak_queue.push(r);
-        }
-    }
-
-    #[inline]
-    fn mark_strong(&mut self, r: ResourceId) {
-        if self.dirty_res[r.index()] != 2 {
-            self.dirty_res[r.index()] = 2;
-            self.strong_queue.push(r);
+    fn mark_dirty(&mut self, r: ResourceId) {
+        if !self.dirty_res[r.index()] {
+            self.dirty_res[r.index()] = true;
+            self.dirty_queue.push(r);
         }
     }
 
@@ -1319,34 +1344,11 @@ impl Engine {
             }
         }
 
-        // Unmatched candidates are completions that really changed the
-        // allocation: escalate their weak marks to strong. (Settling also
-        // consumes the candidates — one surviving past here would inherit
-        // a stale rate.)
-        if !self.batch_candidates.is_empty() {
-            let mut cands = std::mem::take(&mut self.batch_candidates);
-            for c in cands.drain(..) {
-                for &r in c.route.as_slice() {
-                    self.mark_strong(r);
-                }
-            }
-            self.batch_candidates = cands; // keep the allocation
-        }
-
-        if self.strong_queue.is_empty() {
-            // Every mark is weak: a fully-matched batch. The allocation is
-            // provably unchanged — discard the marks with no solve.
-            self.discard_weak_marks();
-            return;
-        }
-
-        // Walk each strongly-dirty connected component once and re-solve
-        // it. Weak marks inside those components are consumed by the walk;
-        // weak marks elsewhere are allocation-neutral and dropped after.
+        // Walk each dirty connected component once and re-solve it.
         self.visit_gen += 1;
         let gen = self.visit_gen;
-        while let Some(r0) = self.strong_queue.pop() {
-            if self.dirty_res[r0.index()] == 0 {
+        while let Some(r0) = self.dirty_queue.pop() {
+            if !self.dirty_res[r0.index()] {
                 continue; // already solved as part of an earlier component
             }
             let info = match self.try_cached_component(r0, gen) {
@@ -1358,7 +1360,7 @@ impl Engine {
                 }
             };
             for k in 0..self.comp_resources.len() {
-                self.dirty_res[self.comp_resources[k].index()] = 0;
+                self.dirty_res[self.comp_resources[k].index()] = false;
             }
             self.stats.component_solves += 1;
             self.stats.flows_resolved += self.comp_flows.len() as u64;
@@ -1381,14 +1383,6 @@ impl Engine {
             }
             self.solve_general(gen);
         }
-
-        // Remaining weak marks belong to matched completion/reissue pairs
-        // in components no strong change reached: allocation-neutral.
-        for k in 0..self.weak_queue.len() {
-            let r = self.weak_queue[k];
-            self.dirty_res[r.index()] = 0;
-        }
-        self.weak_queue.clear();
     }
 
     /// Closed-form max–min for the most common component shape: a single
@@ -2155,15 +2149,15 @@ mod tests {
     fn swap_survives_routeless_churn() {
         // The documented steady state: a chunk completes, a route-less
         // compute block starts, then the identical chunk is reissued. The
-        // compute start must not invalidate the swap candidate.
+        // compute start must not disturb the parked twin.
         let mut e = Engine::new();
         let r = e.add_resource(ResourceSpec::constant(10.0));
         e.start_flow(FlowSpec::new(10.0, &[r], Tag(0)));
         e.start_flow(FlowSpec::new(1e4, &[r], Tag(9)));
-        e.next().unwrap(); // Tag(0) completes; candidate = its signature
+        e.next().unwrap(); // Tag(0) completes and parks
         e.start_flow(FlowSpec::new(5.0, &[], Tag(50)).with_cap(2.0)); // route-less churn
         let twin = e.start_flow(FlowSpec::new(10.0, &[r], Tag(1))); // identical twin
-        assert_eq!(e.stats().swap_inherits, 1, "candidate survived the route-less start");
+        assert_eq!(e.stats().swap_inherits, 1, "still parked after the route-less start");
         e.settle_rates();
         assert!((e.flow_rate(twin) - 5.0).abs() < 1e-9);
     }
@@ -2185,8 +2179,8 @@ mod tests {
 
     #[test]
     fn swap_candidate_dies_on_settle() {
-        // A settle between the completion and the identical start consumes
-        // the dirty marks; the start must trigger a fresh solve, not
+        // A settle between the completion and the identical start expires
+        // the parked completion; the start must trigger a fresh solve, not
         // inherit a stale rate.
         let mut e = Engine::new();
         let r = e.add_resource(ResourceSpec::constant(10.0));
@@ -2204,8 +2198,8 @@ mod tests {
     #[test]
     fn partially_matched_batch_resolves_dirty_components() {
         // Two identical flows complete together; only one is reissued. The
-        // unmatched candidate forces a real solve, which must override the
-        // inherited rate with the fresh allocation.
+        // other expires at the settle and forces a real solve, which must
+        // override the inherited rate with the fresh allocation.
         let mut e = Engine::new();
         let r = e.add_resource(ResourceSpec::constant(10.0));
         e.start_flow(FlowSpec::new(20.0, &[r], Tag(0)));
@@ -2216,7 +2210,7 @@ mod tests {
         assert_eq!(e.stats().swap_inherits, 1);
         let ev = e.next().unwrap();
         assert_eq!(ev.tag(), Tag(1)); // second half of the batch
-        e.settle_rates(); // unmatched candidate remains: full re-solve
+        e.settle_rates(); // one completion still parked: expired, re-solved
         assert!((e.flow_rate(reissue) - 10.0).abs() < 1e-9, "alone now: full capacity");
         // 30 units at rate 10 from t=4 -> completes at t=7.
         let ev = e.next().unwrap();
@@ -2225,10 +2219,75 @@ mod tests {
     }
 
     #[test]
+    fn renewal_retires_every_id_of_its_twin() {
+        let mut e = Engine::new();
+        let r = e.add_resource(ResourceSpec::constant(10.0));
+        let twin = e.start_flow(FlowSpec::new(10.0, &[r], Tag(0)));
+        e.start_flow(FlowSpec::new(100.0, &[r], Tag(9)));
+        e.next().unwrap(); // the twin completes at t=2 and parks
+        let retired = |e: &Engine| {
+            (e.flow_status(twin), e.flow_rate(twin), e.flow_remaining(twin))
+                == (FlowStatus::Completed, 0.0, 0.0)
+        };
+        assert!(retired(&e), "a parked completion is completed");
+        e.cancel_flow(twin);
+        assert_eq!(e.batch_candidates.len(), 1, "cancelling a completed flow is a no-op");
+        let renewed = e.start_flow(FlowSpec::new(20.0, &[r], Tag(1)));
+        assert_eq!((renewed.index(), e.stats().swap_inherits), (twin.index(), 1));
+        assert_ne!(renewed, twin, "same slot, next generation");
+        assert!(retired(&e), "the old id does not alias the slot's new occupant");
+        e.cancel_flow(twin);
+        assert_eq!(e.flow_status(renewed), FlowStatus::Active);
+        assert_eq!((e.flow_rate(renewed), e.flow_remaining(renewed)), (5.0, 20.0));
+        assert_eq!((e.live_flows(), e.stats().flows_cancelled), (2, 0));
+        // 20 units at 5/s from t=2: nothing was re-solved on the way.
+        assert_eq!(e.next().unwrap().tag(), Tag(1));
+        assert!((e.now() - 6.0).abs() < 1e-12, "now = {}", e.now());
+        assert_eq!(e.stats().parked_expired, 0);
+    }
+
+    #[test]
+    fn zero_demand_renewal_completes_at_the_same_instant() {
+        let mut e = Engine::new();
+        let r = e.add_resource(ResourceSpec::constant(10.0));
+        e.start_flow(FlowSpec::new(10.0, &[r], Tag(0)));
+        e.start_flow(FlowSpec::new(100.0, &[r], Tag(9)));
+        e.next().unwrap();
+        let t = e.now();
+        e.start_flow(FlowSpec::new(0.0, &[r], Tag(1)));
+        assert_eq!(e.stats().swap_inherits, 1);
+        assert_eq!(e.next().unwrap().tag(), Tag(1));
+        assert_eq!(e.now(), t);
+        // Nothing renews the zero-demand flow: it expires, and the long
+        // flow is re-solved alone.
+        assert_eq!(e.next().unwrap().tag(), Tag(9));
+        assert_eq!(e.stats().parked_expired, 1);
+        assert!((e.now() - 11.0).abs() < 1e-12, "90 left at t=2, alone at 10/s: {}", e.now());
+    }
+
+    #[test]
+    fn wan_annotation_is_registered_again_on_renewal() {
+        // Degenerate flow-level: annotated flows are registered with the
+        // model but not windowed, so they park and renew like any other.
+        let mut e = Engine::new();
+        e.set_bandwidth_model(BandwidthModelConfig::FlowLevel(FlowLevelParams::degenerate()));
+        let wan = e.add_resource(ResourceSpec::constant(10.0));
+        let mk = |i: u64| FlowSpec::new(10.0, &[wan], Tag(i)).with_wan(0.0, wan);
+        e.start_flow(mk(0));
+        for i in 1..5 {
+            e.next().unwrap();
+            e.start_flow(mk(i));
+        }
+        let s = e.stats();
+        assert_eq!((s.swap_inherits, s.wan_flows), (4, 5));
+        e.drain();
+    }
+
+    #[test]
     fn stable_component_resolves_from_membership_cache() {
         // WAN-like component: two links behind a shared bottleneck. The
         // first solve walks and captures the membership; a cancellation
-        // (strong dirty, same resource set) re-solves it from the cache.
+        // (dirty marks, same resource set) re-solves it from the cache.
         let mut e = Engine::new();
         let wan = e.add_resource(ResourceSpec::constant(10.0));
         let l1 = e.add_resource(ResourceSpec::constant(100.0));
@@ -2310,7 +2369,7 @@ mod tests {
         e.start_flow(FlowSpec::new(1e3, &[b], Tag(2)));
         e.settle_rates();
         let builds = e.stats().memb_cache_builds;
-        e.cancel_flow(bridge); // strong marks on both; membership splits
+        e.cancel_flow(bridge); // dirty marks on both; membership splits
         e.settle_rates();
         let s = e.stats();
         assert_eq!(s.memb_cache_builds, builds, "superset reused, no walk");
@@ -2544,7 +2603,7 @@ mod tests {
 
         /// One step: `(op, a, b)` — see the match in the property.
         fn schedule() -> impl Strategy<Value = Vec<(u32, u32, u32)>> {
-            proptest::collection::vec((0u32..5, 0u32..64, 0u32..16), 1..200)
+            proptest::collection::vec((0u32..6, 0u32..64, 0u32..16), 1..200)
         }
 
         proptest! {
@@ -2556,7 +2615,10 @@ mod tests {
             /// active flow with a positive rate is scheduled exactly once —
             /// an entry of its own xor membership in exactly one class —
             /// and every class with members and a positive share holds
-            /// exactly one entry, filed under its earliest member.
+            /// exactly one entry, filed under its earliest member. And the
+            /// incidence index holds active flows and parked completions
+            /// only — parked ones never on the free list — and after a
+            /// settle, active flows only.
             #[test]
             fn one_entry_per_rated_active_flow(steps in schedule()) {
                 const GUARD: Tag = Tag(u64::MAX);
@@ -2591,11 +2653,38 @@ mod tests {
                         2 if !started.is_empty() => {
                             e.cancel_flow(started[a as usize % started.len()]);
                         }
+                        5 => {
+                            e.settle_rates();
+                            prop_assert!(e.batch_candidates.is_empty(), "parked past a settle");
+                            for (r, on) in e.flows_on.iter().enumerate() {
+                                let hops = e
+                                    .flows
+                                    .iter()
+                                    .filter(|f| f.status == FlowStatus::Active)
+                                    .flat_map(|f| f.route.as_slice())
+                                    .filter(|h| h.index() == r)
+                                    .count();
+                                prop_assert_eq!(on.len(), hops, "resource {} after step {}", r, i);
+                            }
+                        }
                         _ => {
                             if e.next().map(|ev| ev.tag()) == Some(GUARD) {
                                 e.set_timer(1e6, GUARD);
                             }
                         }
+                    }
+                    let parked: Vec<usize> =
+                        e.batch_candidates.iter().map(|p| p.slot as usize).collect();
+                    for on in e.flows_on.iter().flatten() {
+                        let s = on.flow.index();
+                        prop_assert_eq!(e.slot_gen[s], on.flow.generation(), "stale id, step {}", i);
+                        let parked_here = e.flows[s].status == FlowStatus::Completed
+                            && parked.contains(&s)
+                            && !e.free_slots.contains(&(s as u32));
+                        prop_assert!(
+                            e.flows[s].status == FlowStatus::Active || parked_here,
+                            "slot {} indexed as {:?} after step {}", s, e.flows[s].status, i
+                        );
                     }
                     let (mut solo, mut members) = (0, 0);
                     for (s, f) in e.flows.iter().enumerate() {
@@ -2650,50 +2739,68 @@ mod tests {
         assert_eq!((s.event_pushes, s.event_pops, s.event_stale_drops), (0, 0, 0));
     }
 
+    /// A chunk-pipelined, timer-heavy schedule run to the end: the event
+    /// sequence and timestamps it delivered.
+    fn pipelined_run(e: &mut Engine) -> Vec<(u64, u64)> {
+        let shared = e.add_resource(ResourceSpec::constant(100.0));
+        let spare = e.add_resource(ResourceSpec::constant(40.0));
+        for i in 0..40u64 {
+            let route: &[ResourceId] = if i % 3 == 0 { &[shared, spare] } else { &[shared] };
+            let mut spec = FlowSpec::new(50.0 + (i % 7) as f64 * 12.5, route, Tag(i));
+            if i % 4 == 1 {
+                spec = spec.with_latency(0.25 * (i % 5) as f64);
+            }
+            if i % 5 == 2 {
+                spec = spec.with_cap(6.0);
+            }
+            e.start_flow(spec);
+        }
+        for i in 0..10u64 {
+            e.set_timer(0.375 * i as f64, Tag(1000 + i));
+        }
+        let mut log = Vec::new();
+        while let Some(ev) = e.next() {
+            log.push((ev.tag().0, e.now().to_bits()));
+            // Reissue work on some completions to recycle flow slots.
+            if let Event::FlowCompleted { tag, .. } = ev {
+                if tag.0 % 6 == 0 && tag.0 < 60 {
+                    e.start_flow(FlowSpec::new(30.0, &[shared], Tag(tag.0 + 100)));
+                }
+            }
+        }
+        log.push((u64::MAX, e.now().to_bits()));
+        log
+    }
+
     /// Whole-engine reuse oracle: the same chunk-pipelined, timer-heavy
     /// schedule must produce the identical event sequence and timestamps
     /// on a fresh engine and on one that already ran it and was `reset()`
     /// (recycled flow/timer slots, bumped generations, kept allocations).
     #[test]
     fn reset_engine_replays_the_fresh_event_sequence() {
-        fn run(e: &mut Engine) -> Vec<(u64, u64)> {
-            let shared = e.add_resource(ResourceSpec::constant(100.0));
-            let spare = e.add_resource(ResourceSpec::constant(40.0));
-            for i in 0..40u64 {
-                let route: &[ResourceId] = if i % 3 == 0 { &[shared, spare] } else { &[shared] };
-                let mut spec = FlowSpec::new(50.0 + (i % 7) as f64 * 12.5, route, Tag(i));
-                if i % 4 == 1 {
-                    spec = spec.with_latency(0.25 * (i % 5) as f64);
-                }
-                if i % 5 == 2 {
-                    spec = spec.with_cap(6.0);
-                }
-                e.start_flow(spec);
-            }
-            for i in 0..10u64 {
-                e.set_timer(0.375 * i as f64, Tag(1000 + i));
-            }
-            let mut log = Vec::new();
-            while let Some(ev) = e.next() {
-                log.push((ev.tag().0, e.now().to_bits()));
-                // Reissue work on some completions to recycle flow slots.
-                if let Event::FlowCompleted { tag, .. } = ev {
-                    if tag.0 % 6 == 0 && tag.0 < 60 {
-                        e.start_flow(FlowSpec::new(30.0, &[shared], Tag(tag.0 + 100)));
-                    }
-                }
-            }
-            log.push((u64::MAX, e.now().to_bits()));
-            log
-        }
-        let fresh = run(&mut Engine::new());
+        let fresh = pipelined_run(&mut Engine::new());
         assert_eq!(fresh.len(), 40 + 10 + 7 + 1, "every flow, timer and reissue delivers");
         let mut reused = Engine::new();
-        assert_eq!(run(&mut reused), fresh);
+        assert_eq!(pipelined_run(&mut reused), fresh);
         let first_stats = reused.stats();
         reused.reset();
-        assert_eq!(run(&mut reused), fresh, "a reset engine diverged from a fresh one");
+        assert_eq!(pipelined_run(&mut reused), fresh, "a reset engine diverged from a fresh one");
         assert_eq!(reused.stats(), first_stats, "counters restart from zero on reset");
+    }
+
+    #[test]
+    fn reset_with_completions_still_parked_replays_the_fresh_event_sequence() {
+        let fresh = pipelined_run(&mut Engine::new());
+        let mut e = Engine::new();
+        let r = e.add_resource(ResourceSpec::constant(10.0));
+        for i in 0..3 {
+            e.start_flow(FlowSpec::new(10.0, &[r], Tag(i)));
+        }
+        e.next().unwrap(); // a batch of 3 at t=3, one delivered
+        e.start_flow(FlowSpec::new(10.0, &[r], Tag(3))); // one renewed, two still parked
+        assert_eq!((e.batch_candidates.len(), e.flows_on[r.index()].len()), (2, 3));
+        e.reset();
+        assert_eq!(pipelined_run(&mut e), fresh, "parked completions leaked through reset");
     }
 
     /// The degeneracy oracle at engine level: a flow-level model with zero

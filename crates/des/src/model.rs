@@ -26,7 +26,7 @@
 //! 3. **Dirty-mark vocabulary** ([`BandwidthModel::is_dynamic`]): flows
 //!    whose caps are dynamic must not take the identical-signature swap
 //!    fast path (an inherited rate would bake in a stale cap) and their
-//!    completions must mark components *strongly* (removing a window
+//!    completions must be re-solved, never parked (removing a window
 //!    changes the queue occupancy other flows see). The engine asks the
 //!    model per flow; the answer is `false` for every flow of a static
 //!    model, preserving all fast paths.
@@ -101,8 +101,8 @@ pub trait BandwidthModel {
     }
 
     /// Whether the flow in `slot` has a *dynamic* effective cap. Dynamic
-    /// flows are excluded from the identical-signature swap fast path and
-    /// their completions mark strongly instead of weakly.
+    /// flows are excluded from the identical-signature swap fast path:
+    /// their completions are detached and re-solved, never parked.
     #[inline]
     fn is_dynamic(&self, slot: usize) -> bool {
         let _ = slot;
@@ -194,6 +194,12 @@ impl ModelDispatch {
             BandwidthModelConfig::MaxMin => ModelDispatch::MaxMin(MaxMinModel),
             BandwidthModelConfig::FlowLevel(p) => ModelDispatch::FlowLevel(FlowLevelWan::new(p)),
         }
+    }
+
+    /// Whether a WAN-annotated flow started now would be dynamic.
+    #[inline]
+    pub fn is_windowed(&self) -> bool {
+        matches!(self, ModelDispatch::FlowLevel(m) if m.is_windowed())
     }
 }
 

@@ -29,8 +29,9 @@ pub struct Stats {
     /// solver entirely.
     pub routeless_assigns: u64,
     /// Identical-signature swap fast paths taken: a flow started right
-    /// after an identically-shaped completion inherited its rate, with no
-    /// solve at all (the steady state of pipelined chunk streams).
+    /// after an identically-shaped completion renewed its parked slot and
+    /// inherited its rate, with no solve at all (the steady state of
+    /// pipelined chunk streams).
     pub swap_inherits: u64,
     /// Cumulative flows gathered across all component solves, whichever
     /// path answered (a global-recompute engine would accumulate
@@ -49,9 +50,15 @@ pub struct Stats {
     /// Pending-flow activations gulped together with an earlier activation
     /// at the same instant, sharing its settle pass.
     pub batched_activations: u64,
-    /// Settle passes in which every dirty mark came from a completion whose
-    /// identical twin inherited its rate (a fully-matched batch): the marks
-    /// were discarded with no solve at all.
+    /// Parked completions no start renewed: detached for real (dirty
+    /// marks, slot freed) when the next settle began.
+    /// `swap_inherits / (swap_inherits + parked_expired)` is the share of
+    /// parked completions that were renewed.
+    pub parked_expired: u64,
+    /// Fully-renewed batches: the last parked completion of a batch was
+    /// renewed with nothing marked dirty, so the settle that followed had
+    /// no component to solve (unless the caller went on to start or cancel
+    /// a routed flow at the same instant).
     pub clean_batch_settles: u64,
     /// Component solves answered by the warm-start re-fill: the previous
     /// solve's sole bottleneck still dominates, so rates are re-filled

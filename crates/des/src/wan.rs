@@ -43,7 +43,7 @@
 //! its static cap and no window ever evolves; with propagation delay 0 no
 //! extra latency is added. Under that configuration the model's hooks
 //! return the identical floats the [`crate::MaxMinModel`] hooks return, the
-//! engine takes the identical branches (swap fast path, weak marks, warm
+//! engine takes the identical branches (parked renewals, warm
 //! refills), and traces are **bit-identical** to max–min. The integration
 //! suite pins this across the whole scenario registry.
 
@@ -192,6 +192,12 @@ impl FlowLevelWan {
     /// The configured parameters.
     pub fn params(&self) -> &FlowLevelParams {
         &self.params
+    }
+
+    /// Whether the flows this model registers are windowed — what
+    /// [`BandwidthModel::is_dynamic`] will say of a flow not yet started.
+    pub(crate) fn is_windowed(&self) -> bool {
+        self.params.window.is_some()
     }
 
     fn btl_index(&mut self, resource: ResourceId, cap: f64) -> u32 {

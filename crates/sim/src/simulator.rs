@@ -44,6 +44,15 @@ pub enum SimError {
         /// Simulated time at which it fired.
         at: f64,
     },
+    /// A flow completed for a job that is not running: never started, or
+    /// already finished and recorded. The one flow that may outlive its
+    /// job — a write-through cache write — is dropped before this check.
+    OrphanFlow {
+        /// The tag carried by the flow.
+        tag: Tag,
+        /// Simulated time at which it completed.
+        at: f64,
+    },
     /// The event loop drained with jobs still unfinished (a scheduling or
     /// pipelining deadlock).
     UnfinishedJobs {
@@ -61,6 +70,10 @@ impl std::fmt::Display for SimError {
                 f,
                 "unexpected user timer (tag {tag:?}) fired at t={at}: the simulator only sets job-release timers"
             ),
+            SimError::OrphanFlow { tag, at } => {
+                let (kind, job) = tags::decode(tag);
+                write!(f, "{kind:?} flow completed at t={at} for job {job}, which is not running")
+            }
             SimError::UnfinishedJobs { finished, total } => write!(
                 f,
                 "simulation ended with unfinished jobs: {finished}/{total} completed (deadlock?)"
@@ -238,7 +251,9 @@ impl SimSession {
                 }
             };
             let (kind, job) = tags::decode(tag);
-            let run = runs[job].as_mut().unwrap_or_else(|| panic!("event for unstarted job {job}"));
+            let Some(run) = runs[job].as_mut() else {
+                return Err(SimError::OrphanFlow { tag, at: engine.now() });
+            };
             let finished = run
                 .on_event(kind, &mut Ctx { engine, res: &resources, cfg: config, rng: &mut rng });
             if finished {
@@ -380,7 +395,15 @@ impl SimSession {
                 }
             };
             let (kind, job) = tags::decode(tag);
-            let run = runs[job].as_mut().unwrap_or_else(|| panic!("event for unstarted job {job}"));
+            let Some(run) = runs[job].as_mut() else {
+                if kind == tags::Kind::CacheWrite {
+                    // A fire-and-forget cache write that outlasted its job:
+                    // the run was taken when the job was recorded, and
+                    // nothing waits on the write.
+                    continue;
+                }
+                return Err(SimError::OrphanFlow { tag, at: engine.now() });
+            };
             let finished = run
                 .on_event(kind, &mut Ctx { engine, res: &resources, cfg: config, rng: &mut rng });
             if finished {
@@ -753,5 +776,7 @@ mod tests {
         assert!(e.to_string().contains("3/5"));
         let t = SimError::UnexpectedTimer { tag: Tag(7), at: 1.5 };
         assert!(t.to_string().contains("timer"));
+        let o = SimError::OrphanFlow { tag: tags::encode(tags::Kind::NetChunk, 4), at: 2.0 };
+        assert!(o.to_string().contains("NetChunk") && o.to_string().contains("job 4"));
     }
 }

@@ -2,7 +2,7 @@
 //! (the paper's O(s/B + s/b) law), bottleneck physics, and determinism.
 
 use simcal::platform::{catalog, HardwareParams, PlatformKind};
-use simcal::sim::{check_trace, simulate, SimConfig};
+use simcal::sim::{check_trace, simulate, HorizonSpec, SimConfig, SimSession};
 use simcal::storage::{CachePlan, XRootDConfig};
 use simcal::units;
 use simcal::workload::{cms_workload, scaled_cms_workload};
@@ -109,4 +109,26 @@ fn write_through_loads_the_hdd() {
         with.mean_job_time(),
         without.mean_job_time()
     );
+}
+
+/// A write-through cache write is fire-and-forget and, on a slow disk,
+/// outlasts the job that issued it. The horizon loop takes a finished
+/// job's run, so the late completion finds none: it must be dropped, as
+/// the run-to-completion loop (the control) in effect does.
+#[test]
+fn cache_write_outlasting_its_job_is_dropped_by_the_horizon_loop() {
+    let w = scaled_cms_workload(4, 2, 50e6);
+    let p = catalog::scsn();
+    let cache = CachePlan::new(&w, 0.0, 1);
+    let mut hw = HardwareParams::defaults();
+    hw.disk_bw = 1e5;
+    let mut cfg = SimConfig::new(hw, XRootDConfig::new(25e6, 25e6));
+    cfg.cache_write_through = true;
+    let mut session = SimSession::new();
+    let control = session.try_run(&p, &w, &cache, &cfg).expect("run to completion");
+    assert_eq!(control.jobs.len(), 4);
+    let horizon = session
+        .try_run_horizon(&p, &w, &cache, &cfg, &HorizonSpec::new(1e7))
+        .expect("a late cache write is not an error");
+    assert_eq!(horizon.trace.jobs, control.jobs, "the horizon outlasts every job");
 }
