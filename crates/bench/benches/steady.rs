@@ -71,7 +71,7 @@ fn bench_steady_horizon(c: &mut Criterion) {
         );
         group.bench_function(label, |b| {
             b.iter(|| {
-                let r = black_box(&sc).run_sharded(&mut session, 1);
+                let r = black_box(&sc).run(&mut session);
                 debug_assert_eq!(r.engine_events, events);
                 r.engine_events
             });

@@ -21,16 +21,23 @@ pub struct CalibrationResult {
 impl CalibrationResult {
     /// Assemble a result from a finished run's history.
     ///
-    /// Panics if the history is empty (a calibration must evaluate at least
-    /// one point).
+    /// When no evaluation was finite, the result carries
+    /// `best_error = +inf` and the first evaluated point. Panics if the
+    /// history is empty (a calibration must evaluate at least one point).
     pub fn from_history(algorithm: &str, history: &History) -> Self {
-        let best = history
-            .best()
-            .unwrap_or_else(|| panic!("{algorithm}: no evaluations completed within budget"));
+        let (best_values, best_error) = match history.best() {
+            Some(best) => (best.values, best.error),
+            None => {
+                let first = history.records().into_iter().next().unwrap_or_else(|| {
+                    panic!("{algorithm}: no evaluations completed within budget")
+                });
+                (first.values, f64::INFINITY)
+            }
+        };
         Self {
             algorithm: algorithm.to_string(),
-            best_values: best.values,
-            best_error: best.error,
+            best_values,
+            best_error,
             evaluations: history.len() as u64,
             curve: history.best_curve(),
         }
@@ -59,6 +66,17 @@ mod tests {
         let space = ParamSpace::paper(&["a", "b"]);
         assert_eq!(r.value_of(&space, "b"), Some(4e6));
         assert_eq!(r.value_of(&space, "zz"), None);
+    }
+
+    #[test]
+    fn all_non_finite_history_reports_infinity_at_the_first_point() {
+        let h = History::new();
+        h.push(0.1, vec![1e6], f64::NAN);
+        h.push(0.2, vec![2e6], f64::INFINITY);
+        let r = CalibrationResult::from_history("NELDER-MEAD", &h);
+        assert_eq!(r.best_error, f64::INFINITY);
+        assert_eq!(r.best_values, vec![1e6]);
+        assert_eq!(r.evaluations, 2);
     }
 
     #[test]

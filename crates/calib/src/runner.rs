@@ -4,7 +4,8 @@
 //! dedicated ... 40-core CPU". The [`Evaluator`] reproduces that design: a
 //! scoped crossbeam worker pool pulls candidate points from a shared queue,
 //! claims budget per point, evaluates, and records every result (with its
-//! cumulative cost) in the shared [`History`].
+//! cumulative cost) in the shared [`History`] — in batch order, so results
+//! do not depend on the worker count.
 //!
 //! Each worker owns a reusable [`EvalContext`]: objectives that park
 //! expensive state there (e.g. a simulator session) pay its build cost
@@ -12,7 +13,6 @@
 //! a pool on the evaluator, so iterative algorithms (which evaluate many
 //! small batches) amortize across their whole run.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -31,6 +31,17 @@ pub struct Evaluator<'a> {
     workers: usize,
     /// Idle per-worker contexts, reused across batches.
     contexts: Mutex<Vec<EvalContext>>,
+}
+
+/// The objective value algorithms see: the history keeps the raw value,
+/// but any non-finite one reaches them as `f64::INFINITY`, so a NaN can
+/// never win (or freeze) a comparison.
+fn as_seen(error: f64) -> f64 {
+    if error.is_finite() {
+        error
+    } else {
+        f64::INFINITY
+    }
 }
 
 impl<'a> Evaluator<'a> {
@@ -82,50 +93,74 @@ impl<'a> Evaluator<'a> {
             return out;
         }
 
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = crossbeam::channel::unbounded::<(usize, Option<f64>)>();
-        crossbeam::thread::scope(|scope| {
+        // Claims are taken under the cursor lock, so the claimed points are
+        // a prefix of the batch whatever the thread timing.
+        let cursor = Mutex::new(0usize);
+        let (tx, rx) = crossbeam::channel::unbounded::<(usize, (Vec<f64>, f64, f64))>();
+        let slots = crossbeam::thread::scope(|scope| {
             for _ in 0..n_workers {
                 let tx = tx.clone();
-                let next = &next;
+                let cursor = &cursor;
                 scope.spawn(move |_| {
                     let mut ctx = self.checkout_context();
                     loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= unit_points.len() {
-                            break;
-                        }
-                        let r = self.eval_claimed(&mut ctx, &unit_points[i]);
-                        let out_of_budget = r.is_none();
-                        tx.send((i, r)).expect("collector alive");
-                        if out_of_budget {
-                            break;
-                        }
+                        let i = {
+                            let mut next = cursor.lock();
+                            if *next >= unit_points.len() || !self.budget.try_claim() {
+                                break;
+                            }
+                            *next += 1;
+                            *next - 1
+                        };
+                        tx.send((i, self.evaluate(&mut ctx, &unit_points[i])))
+                            .expect("collector alive");
                     }
                     self.return_context(ctx);
                 });
             }
             drop(tx);
-            let mut results = vec![None; unit_points.len()];
-            for (i, r) in rx {
-                results[i] = r;
+            let mut slots = vec![None; unit_points.len()];
+            for (i, done) in rx {
+                slots[i] = Some(done);
             }
-            results
+            slots
         })
-        .expect("evaluation worker panicked")
+        .expect("evaluation worker panicked");
+
+        // Publish in batch order, so the history — and with it the best
+        // point and the convergence curve — does not depend on which worker
+        // finished first. The cumulative costs keep their completion order.
+        let mut costs: Vec<f64> = slots.iter().flatten().map(|&(_, _, cost)| cost).collect();
+        costs.sort_by(f64::total_cmp);
+        let mut costs = costs.into_iter();
+        slots
+            .into_iter()
+            .map(|slot| {
+                let (values, error, _) = slot?;
+                self.history.push(costs.next().expect("one cost per result"), values, error);
+                Some(as_seen(error))
+            })
+            .collect()
     }
 
-    /// Claim budget and evaluate a single point with a worker context.
+    /// Claim budget, evaluate a single point and record it.
     fn eval_claimed(&self, ctx: &mut EvalContext, unit: &[f64]) -> Option<f64> {
         if !self.budget.try_claim() {
             return None;
         }
+        let (values, error, cost) = self.evaluate(ctx, unit);
+        self.history.push(cost, values, error);
+        Some(as_seen(error))
+    }
+
+    /// Evaluate an already-claimed point and charge its cost. Returns the
+    /// natural values, the raw objective value and the cumulative cost.
+    fn evaluate(&self, ctx: &mut EvalContext, unit: &[f64]) -> (Vec<f64>, f64, f64) {
         let values = self.space.values_of(unit);
         let t0 = Instant::now();
         let error = self.objective.evaluate_with(ctx, &values);
         let cumulative = self.budget.charge(t0.elapsed().as_secs_f64());
-        self.history.push(cumulative, values, error);
-        Some(error)
+        (values, error, cumulative)
     }
 
     /// Pop an idle context (or build a fresh one).
@@ -199,6 +234,18 @@ mod tests {
         assert_eq!(serial, parallel);
         assert_eq!(h1.len(), h2.len());
         assert_eq!(h1.best().unwrap().error, h2.best().unwrap().error);
+    }
+
+    #[test]
+    fn non_finite_errors_reach_algorithms_as_infinity() {
+        let obj = FnObjective(|v: &[f64]| if v[0] > 2f64.powi(28) { f64::NAN } else { -1.0 });
+        let space = ParamSpace::paper(&["a"]);
+        let budget = BudgetTracker::new(Budget::Evaluations(3));
+        let history = History::new();
+        let ev = Evaluator::new(&obj, &space, &budget, &history).with_workers(1);
+        let out = ev.eval_batch(&[vec![0.0], vec![1.0]]);
+        assert_eq!(out, vec![Some(-1.0), Some(f64::INFINITY)]);
+        assert!(history.records()[1].error.is_nan(), "the history keeps the raw value");
     }
 
     #[test]

@@ -105,16 +105,16 @@
 //! also lands) and when an attach retires the cached membership the class
 //! hangs off. The next uniform solve re-forms it.
 //!
-//! Two rules keep every same-binary identity (partitioned ≡ sequential,
-//! fresh ≡ reused engine, degenerate flow-level ≡ max–min) exact: a
-//! re-solve that returns the share a class already has leaves its clock
-//! bit-untouched (`set_rate`'s early return, lifted to the class), and `v`
+//! Two rules keep every same-binary identity (fresh ≡ reused engine,
+//! degenerate flow-level ≡ max–min) exact: a re-solve that returns the
+//! share a class already has leaves its clock bit-untouched (`set_rate`'s
+//! early return, lifted to the class), and `v`
 //! moves only at a change of share and at a member completion — never in
 //! [`Engine::peek_time`] or [`Engine::advance_clock`]. So redundant settles
 //! and clock moves change nothing; a settle *between* two same-instant
 //! changes is not redundant (it can form or dissolve a class on the
-//! intermediate population), and drivers that interleave settles
-//! (`partition`, via `peek_time`) do so identically in every configuration.
+//! intermediate population), and drivers that interleave settles (the
+//! multi-site driver, via `peek_time`) do so identically on every run.
 //!
 //! The per-event cost is thus proportional to the *gather* of the touched
 //! component (one pass over its incidence lists), not to the number of
@@ -812,7 +812,7 @@ impl Engine {
     /// necessarily the next delivered event's time: a pending flow's
     /// activation counts (the engine does internal work at that instant
     /// and the events it leads to come no earlier), which is precisely the
-    /// conservative guarantee partitioned execution needs.
+    /// conservative guarantee a multi-engine driver needs.
     /// Returns `None` when no flows or timers remain.
     pub fn peek_time(&mut self) -> Option<f64> {
         if self.pending_head < self.pending_events.len() {
@@ -830,7 +830,7 @@ impl Engine {
     /// `t` must not lie beyond the engine's next event
     /// ([`Engine::peek_time`]); active flows progress lazily, so moving
     /// the clock inside the current inter-event gap is always sound. This
-    /// is how partitioned execution injects cross-engine arrivals: advance
+    /// is how a multi-engine driver injects cross-engine arrivals: advance
     /// to the delivery timestamp, then start flows / set timers there.
     pub fn advance_clock(&mut self, t: f64) {
         assert!(t.is_finite() && t >= self.time, "clock must advance monotonically");
@@ -853,8 +853,9 @@ impl Engine {
     /// activations) is still performed, so a `None` means the next
     /// caller-visible event, if any, is at or after `bound`.
     ///
-    /// This is the partitioned-execution primitive: a sharded engine may
-    /// only process events inside its conservative safety window.
+    /// This is the multi-engine primitive: an engine driven under a
+    /// conservative lookahead may only process events inside its safety
+    /// window.
     pub fn next_before(&mut self, bound: f64) -> Option<Event> {
         self.next_event(bound)
     }

@@ -6,8 +6,8 @@
 //! it uses simultaneously (e.g. a network transfer crosses a storage service,
 //! a WAN link and a node NIC). At any instant, flow rates are the **max–min
 //! fair** allocation over all resources, computed by progressive filling
-//! (see [`sharing`]). Simulated time advances from one flow completion or
-//! timer to the next.
+//! (see [`solve_max_min`]). Simulated time advances from one flow
+//! completion or timer to the next.
 //!
 //! The kernel is deliberately callback-free: the caller drives the loop and
 //! owns all domain state, so borrow-checking stays trivial:
@@ -44,7 +44,6 @@ mod eventlist;
 mod flow;
 mod ids;
 mod model;
-pub mod partition;
 mod resource;
 mod route;
 mod sharing;
@@ -56,7 +55,6 @@ pub use engine::{Engine, Event};
 pub use flow::{FlowSpec, FlowStatus};
 pub use ids::{FlowId, ResourceId, Tag, TimerId};
 pub use model::{BandwidthModel, BandwidthModelConfig, MaxMinModel, ModelCounters, WanSpec};
-pub use partition::{run_parallel, run_sequential, Envelope, Partition, SyncStats};
 pub use resource::{CapacityModel, ResourceSpec};
 pub use sharing::{solve_max_min, FlowInput, ResourceInput, SolveScratch, MAX_RATE};
 pub use stats::Stats;

@@ -35,8 +35,6 @@ pub struct Options {
     pub fig2_cost: Option<f64>,
     pub seed: Option<u64>,
     pub workers: Option<usize>,
-    /// `sweep --engine-shards N`: partitioned-engine shards per scenario.
-    pub engine_shards: Option<usize>,
     /// `sweep --distributed --stall-timeout SECS`: zero-progress window
     /// before the coordinator presumes claim holders dead.
     pub stall_timeout: Option<u64>,
@@ -97,7 +95,6 @@ impl Options {
             fig2_cost: None,
             seed: None,
             workers: None,
-            engine_shards: None,
             stall_timeout: None,
             data_dir: PathBuf::from("data/groundtruth"),
             out: None,
@@ -125,40 +122,30 @@ impl Options {
             match a.as_str() {
                 "--scale" => opts.scale = take("--scale")?,
                 "--evals" => {
-                    opts.evals =
-                        Some(take("--evals")?.parse().map_err(|e| format!("--evals: {e}"))?)
+                    let n: u64 = take("--evals")?.parse().map_err(|e| format!("--evals: {e}"))?;
+                    if n == 0 {
+                        return Err("--evals must be at least 1".to_string());
+                    }
+                    opts.evals = Some(n);
                 }
                 "--granularity" => {
                     opts.granularity = Some(parse_granularity(&take("--granularity")?)?)
                 }
-                "--t5-cost" => {
-                    opts.t5_cost =
-                        Some(take("--t5-cost")?.parse().map_err(|e| format!("--t5-cost: {e}"))?)
-                }
-                "--t6-cost" => {
-                    opts.t6_cost =
-                        Some(take("--t6-cost")?.parse().map_err(|e| format!("--t6-cost: {e}"))?)
-                }
+                "--t5-cost" => opts.t5_cost = Some(seconds("--t5-cost", &take("--t5-cost")?)?),
+                "--t6-cost" => opts.t6_cost = Some(seconds("--t6-cost", &take("--t6-cost")?)?),
                 "--fig2-cost" => {
-                    opts.fig2_cost = Some(
-                        take("--fig2-cost")?.parse().map_err(|e| format!("--fig2-cost: {e}"))?,
-                    )
+                    opts.fig2_cost = Some(seconds("--fig2-cost", &take("--fig2-cost")?)?)
                 }
                 "--seed" => {
                     opts.seed = Some(take("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?)
                 }
                 "--workers" => {
-                    opts.workers =
-                        Some(take("--workers")?.parse().map_err(|e| format!("--workers: {e}"))?)
-                }
-                "--engine-shards" => {
-                    let n: usize = take("--engine-shards")?
-                        .parse()
-                        .map_err(|e| format!("--engine-shards: {e}"))?;
+                    let n: usize =
+                        take("--workers")?.parse().map_err(|e| format!("--workers: {e}"))?;
                     if n == 0 {
-                        return Err("--engine-shards must be at least 1".to_string());
+                        return Err("--workers must be at least 1".to_string());
                     }
-                    opts.engine_shards = Some(n);
+                    opts.workers = Some(n);
                 }
                 "--stall-timeout" => {
                     opts.stall_timeout = Some(
@@ -198,14 +185,7 @@ impl Options {
                 }
                 "--family" => opts.family = Some(take("--family")?),
                 "--algo" => opts.algo = take("--algo")?,
-                "--horizon" => {
-                    let h: f64 =
-                        take("--horizon")?.parse().map_err(|e| format!("--horizon: {e}"))?;
-                    if !(h > 0.0 && h.is_finite()) {
-                        return Err("--horizon must be a positive number of seconds".to_string());
-                    }
-                    opts.horizon = Some(h);
-                }
+                "--horizon" => opts.horizon = Some(seconds("--horizon", &take("--horizon")?)?),
                 "--wan-model" => opts.wan_model = Some(parse_wan_model(&take("--wan-model")?)?),
                 cmd if opts.command.is_empty() && !cmd.starts_with('-') => {
                     opts.command = cmd.to_string()
@@ -288,6 +268,15 @@ impl Options {
     }
 }
 
+/// Parse a flag's value as a positive, finite number of seconds.
+fn seconds(flag: &str, v: &str) -> Result<f64, String> {
+    let s: f64 = v.parse().map_err(|e| format!("{flag}: {e}"))?;
+    if !(s > 0.0 && s.is_finite()) {
+        return Err(format!("{flag} must be a positive number of seconds"));
+    }
+    Ok(s)
+}
+
 fn parse_wan_model(s: &str) -> Result<simcal_sim::WanModel, String> {
     use simcal_sim::{FlowLevelCfg, WanModel};
     match s {
@@ -353,9 +342,6 @@ Options:
   --seed N                      algorithm RNG seed
   --workers N                   parallel evaluation / sweep workers
                                 (threads per process when --distributed)
-  --engine-shards N             partitioned-DES shards per scenario (multi-site
-                                scenarios run one conservative shard per site
-                                group; traces are bit-identical at any N)
   --horizon SECS                sweep scenarios open-loop to this horizon with
                                 streaming P2 wait/slowdown percentiles and SLO
                                 attainment instead of running to completion
@@ -501,7 +487,7 @@ fn run_sweep(opts: &Options) -> Result<(), String> {
         }
     }
     if let Some(dur) = opts.horizon {
-        // Horizon mode and the partitioned multi-site path are mutually
+        // Horizon mode and the multi-site path are mutually
         // exclusive (Scenario::validate enforces it); reject the
         // combination up front instead of silently dropping matches or
         // panicking mid-sweep.
@@ -510,7 +496,7 @@ fn run_sweep(opts: &Options) -> Result<(), String> {
         if !offenders.is_empty() {
             return Err(format!(
                 "--horizon cannot run multi-site scenario(s) {}: open-loop horizon mode \
-                 streams percentiles from a single engine, which the partitioned \
+                 streams percentiles from a single engine, which the \
                  multi-site driver does not provide — narrow the pattern to exclude them",
                 offenders.join(", ")
             ));
@@ -532,9 +518,6 @@ fn run_sweep(opts: &Options) -> Result<(), String> {
             .with_threads(threads)
             .with_resume(opts.resume)
             .with_claim_window(opts.claim_window);
-        if let Some(n) = opts.engine_shards {
-            driver = driver.with_engine_shards(n);
-        }
         if let Some(secs) = opts.stall_timeout {
             driver = driver.with_stall_timeout(std::time::Duration::from_secs(secs));
         }
@@ -564,9 +547,6 @@ fn run_sweep(opts: &Options) -> Result<(), String> {
         let threads = opts.workers.unwrap_or(1);
         let mut driver =
             DistSweep::new(spool).with_spawn(spawn).with_threads(threads).with_resume(opts.resume);
-        if let Some(n) = opts.engine_shards {
-            driver = driver.with_engine_shards(n);
-        }
         if let Some(secs) = opts.stall_timeout {
             driver = driver.with_stall_timeout(std::time::Duration::from_secs(secs));
         }
@@ -575,15 +555,12 @@ fn run_sweep(opts: &Options) -> Result<(), String> {
         }
         if spawn > 0 {
             let exe = std::env::current_exe().map_err(|e| format!("current exe: {e}"))?;
-            let mut worker_args = vec![
+            let worker_args = vec![
                 "sweep-worker".to_string(),
                 spool.display().to_string(),
                 "--workers".to_string(),
                 threads.to_string(),
             ];
-            if let Some(n) = opts.engine_shards {
-                worker_args.extend(["--engine-shards".to_string(), n.to_string()]);
-            }
             driver = driver.with_worker_command(exe, worker_args);
         }
         let (results, summary) = driver.run_summarized(&grid).map_err(|e| e.to_string())?;
@@ -596,16 +573,8 @@ fn run_sweep(opts: &Options) -> Result<(), String> {
         if let Some(w) = opts.workers {
             runner = runner.with_workers(w);
         }
-        if let Some(n) = opts.engine_shards {
-            runner = runner.with_engine_shards(n);
-        }
         let workers = runner.workers().min(grid.len());
-        let mode = if runner.engine_shards() > 1 {
-            format!("{workers} workers x {} engine shards", runner.engine_shards())
-        } else {
-            format!("{workers} workers")
-        };
-        (runner.run(&grid), mode)
+        (runner.run(&grid), format!("{workers} workers"))
     };
     let wall = t0.elapsed().as_secs_f64();
 
@@ -703,11 +672,9 @@ fn write_sweep_csv(path: &std::path::Path, results: &[SweepResult]) -> Result<()
 /// directly. Either way: run tasks, deliver results, exit.
 fn run_sweep_worker(opts: &Options) -> Result<(), String> {
     let threads = opts.workers.unwrap_or(1);
-    let shards = opts.engine_shards.unwrap_or(1);
     if let Some(addr) = &opts.connect {
         let mut worker = TcpWorker::new(addr.clone())
             .with_threads(threads)
-            .with_engine_shards(shards)
             .with_name(format!("pid-{}", std::process::id()))
             .with_claim_window(opts.claim_window);
         if let Some(seed) = opts.seed {
@@ -745,7 +712,7 @@ fn run_sweep_worker(opts: &Options) -> Result<(), String> {
         .map(PathBuf::from)
         .or_else(|| opts.spool.clone())
         .ok_or("sweep-worker needs a spool directory or --connect ADDR")?;
-    let n = dist::run_worker_sharded(&spool, threads, shards).map_err(|e| e.to_string())?;
+    let n = dist::run_worker(&spool, threads).map_err(|e| e.to_string())?;
     eprintln!("[simcal-exp] sweep-worker drained {n} task(s) from {}", spool.display());
     Ok(())
 }
@@ -1145,57 +1112,39 @@ mod tests {
     }
 
     #[test]
-    fn parses_engine_shards_and_stall_timeout() {
-        let o = parse(&["sweep", "multisite", "--engine-shards", "4"]).unwrap();
-        assert_eq!(o.engine_shards, Some(4));
-        let o = parse(&[
-            "sweep",
-            "--distributed",
-            "--spool",
-            "/tmp/spool",
-            "--stall-timeout",
-            "120",
-            "--engine-shards",
-            "2",
-        ])
-        .unwrap();
+    fn parses_stall_timeout() {
+        let o =
+            parse(&["sweep", "--distributed", "--spool", "/tmp/spool", "--stall-timeout", "120"])
+                .unwrap();
         assert_eq!(o.stall_timeout, Some(120));
-        assert_eq!(o.engine_shards, Some(2));
-        let o = parse(&["sweep-worker", "/tmp/spool", "--engine-shards", "3"]).unwrap();
-        assert_eq!(o.engine_shards, Some(3));
-        assert!(parse(&["sweep", "--engine-shards", "0"]).is_err());
-        assert!(parse(&["sweep", "--engine-shards", "x"]).is_err());
         assert!(parse(&["sweep", "--stall-timeout", "soon"]).is_err());
     }
 
     #[test]
-    fn engine_shards_leave_the_sweep_artifact_byte_identical() {
-        // The CLI face of the partitioned-engine guarantee: sweeping the
-        // multisite family on 1 and on 4 shards writes the same bytes.
-        let base = std::env::temp_dir().join(format!("simcal-cli-shards-{}", std::process::id()));
-        std::fs::remove_dir_all(&base).ok();
-        let outs = ["seq", "par"].map(|d| base.join(d));
-        for (out, shards) in outs.iter().zip(["1", "4"]) {
-            let o = parse(&[
-                "sweep",
-                "multisite",
-                "--reduced",
-                "--workers",
-                "2",
-                "--engine-shards",
-                shards,
-                "--out",
-                out.to_str().unwrap(),
-            ])
-            .unwrap();
-            run_sweep(&o).unwrap();
+    fn zero_and_non_finite_budgets_are_rejected_while_parsing() {
+        // Each of these used to parse, then panic mid-run (exit 101).
+        let cases: &[(&[&str], &str)] = &[
+            (&["calibrate", "scsn", "--reduced", "--evals", "0"], "--evals"),
+            (&["sweep", "--reduced", "--workers", "0"], "--workers"),
+            (&["calibrate", "scsn", "--reduced", "--evals", "5", "--workers", "0"], "--workers"),
+            (&["table5", "--reduced", "--scale", "quick", "--t5-cost", "0"], "--t5-cost"),
+            (&["table5", "--reduced", "--scale", "quick", "--t5-cost", "-1"], "--t5-cost"),
+            (&["table5", "--reduced", "--scale", "quick", "--t5-cost", "nan"], "--t5-cost"),
+            (&["table6", "--t6-cost", "0"], "--t6-cost"),
+            (&["table6", "--t6-cost", "-2.5"], "--t6-cost"),
+            (&["table6", "--t6-cost", "NaN"], "--t6-cost"),
+            (&["table6", "--t6-cost", "inf"], "--t6-cost"),
+            (&["fig2", "--fig2-cost", "0"], "--fig2-cost"),
+            (&["fig2", "--fig2-cost", "-1"], "--fig2-cost"),
+            (&["fig2", "--fig2-cost", "nan"], "--fig2-cost"),
+        ];
+        for (args, flag) in cases {
+            let err = parse(args).err().unwrap_or_else(|| panic!("{args:?} parsed"));
+            assert!(err.starts_with(flag), "{args:?}: {err}");
         }
-        let a = std::fs::read(outs[0].join("sweep.csv")).unwrap();
-        let b = std::fs::read(outs[1].join("sweep.csv")).unwrap();
-        assert_eq!(a, b, "4-shard sweep artifact must be byte-identical to sequential");
-        let text = String::from_utf8(a).unwrap();
-        assert_eq!(text.lines().skip(2).count(), 4, "four reduced multisite scenarios");
-        std::fs::remove_dir_all(&base).ok();
+        // Positive finite values still parse.
+        let o = parse(&["table5", "--t5-cost", "0.5", "--evals", "1", "--workers", "1"]).unwrap();
+        assert_eq!((o.t5_cost, o.evals, o.workers), (Some(0.5), Some(1), Some(1)));
     }
 
     #[test]
@@ -1437,10 +1386,13 @@ mod tests {
         assert!(err.contains("--wan-model") && err.contains("`calibrate`"), "{err}");
         let err = run(&["scenarios", "list", "--reduced", "--horizon", "5"]).unwrap_err();
         assert!(err.contains("--horizon") && err.contains("`scenarios`"), "{err}");
-        // The retired timer-store knob is not a flag any more, on any command.
-        for cmd in ["sweep", "scenarios"] {
+        // The retired timer-store and engine-shard knobs are not flags any
+        // more, on any command.
+        for cmd in ["sweep", "sweep-worker", "scenarios"] {
             let err = run(&[cmd, "--reduced", "--event-list", "calendar"]).unwrap_err();
             assert_eq!(err, "unknown argument \"--event-list\"");
+            let err = run(&[cmd, "--reduced", "--engine-shards", "2"]).unwrap_err();
+            assert_eq!(err, "unknown argument \"--engine-shards\"");
         }
     }
 

@@ -10,10 +10,10 @@
 //!
 //! The WAN links are the *only* coupling between sites, and every link has
 //! a strictly positive propagation latency. That latency is load-bearing:
-//! it is the **lookahead window** of the partitioned parallel simulation
-//! (`simcal_des::partition`) — no site can causally affect another sooner
-//! than the minimum link latency, so per-site engines may safely advance
-//! that far beyond their neighbors' announced horizons.
+//! it is the **lookahead window** of the multi-site simulator
+//! (`simcal_sim::multisite`) — no site can causally affect another sooner
+//! than the minimum link latency, so the site with the earliest pending
+//! action may safely run that far beyond the runner-up's.
 
 use crate::spec::PlatformSpec;
 
@@ -91,7 +91,7 @@ impl MultiSiteSpec {
     }
 
     /// The minimum link latency — the provable lookahead of the
-    /// conservative partitioned simulation.
+    /// conservative multi-site driver.
     pub fn lookahead(&self) -> f64 {
         self.links.iter().map(|l| l.latency).fold(f64::INFINITY, f64::min)
     }

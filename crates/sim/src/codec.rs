@@ -52,8 +52,11 @@ use crate::scheduler::SchedulerPolicy;
 /// for the TCP transport; scenario and result payloads are unchanged, so
 /// v4 decoders accept v1–v3. v5 adds windowed task handout
 /// (`ClaimN { max, holding }` / `TaskBatch { tasks }`), worker capability
-/// advertisement (`threads` / `engine_shards` on `Hello`), and the
-/// shared-secret handshake (`AuthChallenge` / `AuthProof` / `Reject`).
+/// advertisement (`threads` on `Hello`, plus a per-task engine-shard count
+/// retired in place without a bump when the sharded engine was deleted:
+/// encoders no longer emit it and decoders ignore it like any unknown
+/// field), and the shared-secret handshake (`AuthChallenge` / `AuthProof`
+/// / `Reject`).
 /// v5 decoders accept v4 payloads (a `Claim` is a `ClaimN { max: 1,
 /// holding: [] }`, a bare `Hello` advertises no capabilities), and v4
 /// decoders accept the v5 `Hello`/`Task`/`Result` envelopes unchanged
@@ -1292,8 +1295,6 @@ pub enum WireMsg {
         /// Worker threads behind this connection's process (0 when the
         /// peer predates v5 and advertises nothing).
         threads: u64,
-        /// Engine shards each task will run with (0 = unadvertised).
-        engine_shards: u64,
     },
     /// Worker asks for the next task (v4 lock-step form; equivalent to
     /// `ClaimN { max: 1, holding: [] }`).
@@ -1385,10 +1386,9 @@ pub fn msg_to_json(msg: &WireMsg) -> Json {
     let mut fields =
         vec![("v", Json::Num(CODEC_VERSION as f64)), ("type", Json::Str(msg.kind().to_string()))];
     match msg {
-        WireMsg::Hello { worker, threads, engine_shards } => {
+        WireMsg::Hello { worker, threads } => {
             fields.push(("worker", Json::Str(worker.clone())));
             fields.push(("threads", json_u64(*threads)));
-            fields.push(("engine_shards", json_u64(*engine_shards)));
         }
         WireMsg::Claim | WireMsg::Drain | WireMsg::Bye => {}
         WireMsg::ClaimN { max, holding } => {
@@ -1429,20 +1429,16 @@ pub fn msg_from_json(json: &Json) -> Result<WireMsg, CodecError> {
     check_version("WireMsg", &r)?;
     match r.str("type")? {
         "hello" => {
-            // v4 Hellos predate the capability fields: absent = unadvertised.
-            let cap = |field: &'static str| match r.get(field) {
-                None | Some(Json::Null) => Ok(0),
+            // v4 Hellos predate `threads`: absent = unadvertised.
+            let threads = match r.get("threads") {
+                None | Some(Json::Null) => 0,
                 Some(v) => json_to_u64(v).ok_or(CodecError::WrongType {
                     ty: "WireMsg",
-                    field: "threads/engine_shards",
+                    field: "threads",
                     expected: "u64",
-                }),
+                })?,
             };
-            Ok(WireMsg::Hello {
-                worker: r.str("worker")?.to_string(),
-                threads: cap("threads")?,
-                engine_shards: cap("engine_shards")?,
-            })
+            Ok(WireMsg::Hello { worker: r.str("worker")?.to_string(), threads })
         }
         "claim" => Ok(WireMsg::Claim),
         "claim-n" => {
@@ -2141,7 +2137,7 @@ mod tests {
     fn demo_msgs() -> Vec<WireMsg> {
         let sc = ScenarioRegistry::reduced().scenarios().remove(0);
         vec![
-            WireMsg::Hello { worker: "pid-42/t1".into(), threads: 4, engine_shards: 2 },
+            WireMsg::Hello { worker: "pid-42/t1".into(), threads: 4 },
             WireMsg::Claim,
             WireMsg::ClaimN { max: 8, holding: vec![3, 11, u64::MAX] },
             WireMsg::ClaimN { max: 1, holding: vec![] },
@@ -2248,8 +2244,19 @@ mod tests {
         // (unadvertised), and its bare Claim still decodes — the v5
         // coordinator treats it as ClaimN { max: 1, holding: [] }.
         let hello = decode_msg(r#"{"v":4,"type":"hello","worker":"legacy"}"#).unwrap();
-        assert_eq!(hello, WireMsg::Hello { worker: "legacy".into(), threads: 0, engine_shards: 0 });
+        assert_eq!(hello, WireMsg::Hello { worker: "legacy".into(), threads: 0 });
         assert_eq!(decode_msg(r#"{"v":4,"type":"claim"}"#).unwrap(), WireMsg::Claim);
+    }
+
+    #[test]
+    fn retired_hello_shard_count_is_ignored_and_not_re_emitted() {
+        // v5-v7 workers advertised `engine_shards`; the field was retired
+        // in place (no version bump), so an old Hello still decodes and
+        // re-encodes without it.
+        let old = r#"{"v":7,"type":"hello","worker":"old","threads":"2","engine_shards":"4"}"#;
+        let hello = decode_msg(old).unwrap();
+        assert_eq!(hello, WireMsg::Hello { worker: "old".into(), threads: 2 });
+        assert_eq!(encode_msg(&hello), r#"{"v":7,"type":"hello","worker":"old","threads":"2"}"#);
     }
 
     #[test]
@@ -2287,8 +2294,7 @@ mod tests {
     #[test]
     fn truncated_frames_are_io_errors_not_closed() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, &WireMsg::Hello { worker: "w".into(), threads: 1, engine_shards: 1 })
-            .unwrap();
+        write_frame(&mut buf, &WireMsg::Hello { worker: "w".into(), threads: 1 }).unwrap();
         // Cut the frame anywhere after the first byte: mid-length-prefix
         // and mid-body truncations are both "broken peer", never a clean
         // Closed and never a panic.

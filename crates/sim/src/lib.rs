@@ -63,9 +63,7 @@ pub mod validate;
 
 pub use codec::{decode_scenario, encode_scenario, CodecError, Json};
 pub use config::{FlowLevelCfg, NoiseConfig, SimConfig, WanModel};
-pub use multisite::{
-    simulate_multisite, try_simulate_multisite, try_simulate_multisite_with_stats, StageMsg,
-};
+pub use multisite::{simulate_multisite, try_simulate_multisite, StageMsg};
 pub use registry::{ScenarioEntry, ScenarioRegistry};
 pub use resources::PlatformResources;
 pub use scenario::{CacheSpec, MaterializedScenario, RunReport, Scenario, WorkloadSource};

@@ -510,11 +510,9 @@ impl ScenarioRegistry {
         }
     }
 
-    /// Multi-site topologies around a storage hub, run on the partitioned
-    /// conservative-parallel simulator ([`crate::multisite`]) — the family
-    /// `sweep --engine-shards N` parallelizes. Traces are bit-identical at
-    /// every shard count, so these scenarios double as the
-    /// shard-invariance oracle fixtures.
+    /// Multi-site topologies around a storage hub, run on the multi-site
+    /// simulator ([`crate::multisite`]): one engine per site under the
+    /// conservative global-min driver.
     fn push_multisite_family(&mut self, scale: Scale) {
         const SALT: u64 = 0x6D73_6974; // "msit"
         let mixed = MultiSiteBuilder::new("MIXED-MS")
@@ -567,7 +565,7 @@ impl ScenarioRegistry {
             let mut config = SimConfig::new(calibrated_hardware(), granularity(scale));
             config.hardware.wan_bw = effective_wan(kind.nominal_wan_bw());
             // The single-site `platform` field is ignored by the
-            // partitioned path; carry a representative compute site so
+            // multi-site path; carry a representative compute site so
             // every tool that inspects it sees the right shape.
             let platform = ms.sites[ms.compute_sites()[0]].clone();
             self.register(
@@ -847,23 +845,6 @@ mod tests {
     }
 
     #[test]
-    fn multisite_family_is_shard_invariant() {
-        // The family's registry twins are the shard-invariance oracle:
-        // 2 shards must reproduce the sequential reference bit-for-bit.
-        let reg = ScenarioRegistry::reduced();
-        let mut session = crate::SimSession::new();
-        for e in reg.entries().iter().filter(|e| e.family == "multisite") {
-            let ms = e.scenario.multisite.as_ref().expect("multisite family");
-            let one = e.scenario.run_sharded(&mut session, 1);
-            let two = e.scenario.run_sharded(&mut session, 2);
-            assert_eq!(one.jobs, two.jobs, "{}", e.scenario.name);
-            assert_eq!(one.engine_events, two.engine_events, "{}", e.scenario.name);
-            assert_eq!(one.jobs.len(), e.scenario.workload.n_jobs());
-            assert_eq!(one.n_nodes, ms.compute_node_count());
-        }
-    }
-
-    #[test]
     fn names_are_unique_and_resolvable() {
         let reg = ScenarioRegistry::builtin();
         for e in reg.entries() {
@@ -984,8 +965,8 @@ mod tests {
     fn degenerate_flow_level_is_bit_identical_across_reduced_registry() {
         // The tentpole's correctness anchor: zero propagation delay plus an
         // unbounded window collapses the flow-level WAN to max–min *bit for
-        // bit* — on every reduced scenario, including multisite (partitioned
-        // engines) and steady (horizon) members.
+        // bit* — on every reduced scenario, including multisite (one engine
+        // per site) and steady (horizon) members.
         let reg = ScenarioRegistry::reduced();
         let mut session = crate::SimSession::new();
         for e in reg.entries() {

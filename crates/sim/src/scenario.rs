@@ -133,11 +133,10 @@ pub struct Scenario {
     pub cache: CacheSpec,
     /// Hardware, granularity, noise, and scheduler-policy configuration.
     pub config: SimConfig,
-    /// Multi-site topology: when set, the scenario runs on the partitioned
-    /// multi-site simulator ([`crate::multisite`]) — the single-site
-    /// `platform` field is ignored — and supports parallel engine shards
-    /// via [`Scenario::run_sharded`]. `None` = the classic single-site
-    /// path, byte-identical to what it always produced.
+    /// Multi-site topology: when set, the scenario runs on the multi-site
+    /// simulator ([`crate::multisite`]) — the single-site `platform` field
+    /// is ignored. `None` = the classic single-site path, byte-identical
+    /// to what it always produced.
     pub multisite: Option<MultiSiteSpec>,
     /// Steady-state horizon mode: when set, the scenario runs its seeded
     /// arrival stream open-loop over `[0, duration)` and reports
@@ -203,34 +202,18 @@ impl Scenario {
         self.materialize().try_run(session)
     }
 
-    /// Run with `shards` parallel engine shards. Multi-site scenarios
-    /// partition their sites over that many threads (1 = the sequential
-    /// reference driver; traces are bit-identical either way); single-site
-    /// scenarios have one engine and ignore the value.
-    pub fn run_sharded(&self, session: &mut SimSession, shards: usize) -> ExecutionTrace {
-        self.materialize()
-            .try_run_sharded(session, shards)
-            .unwrap_or_else(|e| panic!("simulation failed: {e}"))
-    }
-
-    /// As [`Scenario::run_sharded`], reporting simulator logic errors.
-    pub fn try_run_sharded(
-        &self,
-        session: &mut SimSession,
-        shards: usize,
-    ) -> Result<ExecutionTrace, SimError> {
-        self.materialize().try_run_sharded(session, shards)
-    }
-
     /// Run the scenario and return the full report: the execution trace
     /// plus, for horizon-mode scenarios, the streaming steady-state
     /// summary. Run-to-completion scenarios report `horizon: None`.
+    ///
+    /// `_shards` is ignored: every scenario runs on one thread. The
+    /// argument stays so existing callers keep compiling.
     pub fn try_run_report(
         &self,
         session: &mut SimSession,
-        shards: usize,
+        _shards: usize,
     ) -> Result<RunReport, SimError> {
-        self.materialize().try_run_report(session, shards)
+        self.materialize().try_run_report(session, 1)
     }
 }
 
@@ -252,23 +235,15 @@ impl MaterializedScenario<'_> {
 
     /// Run, reporting simulator logic errors.
     pub fn try_run(&self, session: &mut SimSession) -> Result<ExecutionTrace, SimError> {
-        self.try_run_sharded(session, 1)
+        self.try_run_report(session, 1).map(|r| r.trace)
     }
 
-    /// Run with `shards` engine shards (see [`Scenario::run_sharded`]).
-    pub fn try_run_sharded(
-        &self,
-        session: &mut SimSession,
-        shards: usize,
-    ) -> Result<ExecutionTrace, SimError> {
-        self.try_run_report(session, shards).map(|r| r.trace)
-    }
-
-    /// Run and return the full report (see [`Scenario::try_run_report`]).
+    /// Run and return the full report (see [`Scenario::try_run_report`];
+    /// `_shards` is ignored there too).
     pub fn try_run_report(
         &self,
         session: &mut SimSession,
-        shards: usize,
+        _shards: usize,
     ) -> Result<RunReport, SimError> {
         if let Some(h) = &self.scenario.horizon {
             assert!(
@@ -285,13 +260,9 @@ impl MaterializedScenario<'_> {
             return Ok(RunReport { trace: run.trace, horizon: Some(run.report) });
         }
         let trace = match &self.scenario.multisite {
-            Some(ms) => try_simulate_multisite(
-                ms,
-                &self.workload,
-                &self.plan,
-                &self.scenario.config,
-                shards,
-            )?,
+            Some(ms) => {
+                try_simulate_multisite(ms, &self.workload, &self.plan, &self.scenario.config)?
+            }
             None => session.try_run(
                 &self.scenario.platform,
                 &self.workload,

@@ -3,9 +3,9 @@
 //!
 //! Ground-truth generation is scenario-driven: the 4-platform x 11-ICD
 //! grid of emulator [`Scenario`](simcal_sim::Scenario)s is executed by the
-//! sharded [`SweepRunner`](crate::sweep::SweepRunner), so generation
-//! parallelizes across cores while staying bit-identical to the
-//! sequential reference path (`simcal_groundtruth::generate`).
+//! sharded [`SweepRunner`], so generation parallelizes across cores while
+//! staying bit-identical to the sequential reference path
+//! (`simcal_groundtruth::generate`).
 
 use std::path::Path;
 use std::sync::Arc;

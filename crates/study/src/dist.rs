@@ -562,23 +562,8 @@ impl ShardSource for SpoolSource {
 /// This is what the hidden `sweep-worker` CLI subcommand runs; the
 /// coordinator also calls it to participate in its own sweep.
 pub fn run_worker(spool: &Path, threads: usize) -> Result<usize, DistError> {
-    run_worker_sharded(spool, threads, 1)
-}
-
-/// [`run_worker`] with the partitioned-engine shard count exposed: every
-/// scenario this worker drains runs on `engine_shards` conservative DES
-/// shards. Results are bit-identical at any shard count (the partition
-/// protocol guarantees it), so mixing worker shard counts in one spool is
-/// safe — the knob only trades threads-per-scenario against
-/// scenarios-in-flight.
-pub fn run_worker_sharded(
-    spool: &Path,
-    threads: usize,
-    engine_shards: usize,
-) -> Result<usize, DistError> {
     let source = SpoolSource::open(spool);
-    let runner =
-        SweepRunner::new().with_workers(threads.max(1)).with_engine_shards(engine_shards.max(1));
+    let runner = SweepRunner::new().with_workers(threads.max(1));
     let write_error: Mutex<Option<DistError>> = Mutex::new(None);
     let tagged = runner.run_source_each(&source, |index, result| {
         if let Err(e) = write_result(spool, index, result) {
@@ -820,9 +805,6 @@ pub struct DistSweep {
     spawn: usize,
     threads: usize,
     worker_cmd: Option<(PathBuf, Vec<String>)>,
-    /// Partitioned-engine shards per scenario in the coordinator's own
-    /// drain loop.
-    engine_shards: usize,
     /// How long the coordinator tolerates zero progress (no new result
     /// files) while claims are in flight or workers are alive before it
     /// presumes the claim holders dead, requeues their tasks, and runs
@@ -848,7 +830,6 @@ impl DistSweep {
             spool: spool.into(),
             spawn: 0,
             threads: 1,
-            engine_shards: 1,
             worker_cmd: None,
             stall_timeout: std::time::Duration::from_secs(30),
             settle_timeout: std::time::Duration::from_secs(2),
@@ -865,8 +846,9 @@ impl DistSweep {
         self
     }
 
-    /// Resume a crashed coordinator's spool instead of refusing it (see
-    /// [`DistSweep::resume`]'s field docs). The grid must be the same one
+    /// Resume a crashed coordinator's spool instead of refusing it:
+    /// validate the manifest, requeue orphans, respool missing tasks, and
+    /// continue from the persisted results. The grid must be the same one
     /// the spool was created for — validated against the manifest.
     pub fn with_resume(mut self, resume: bool) -> Self {
         self.resume = resume;
@@ -892,15 +874,6 @@ impl DistSweep {
     pub fn with_threads(mut self, threads: usize) -> Self {
         assert!(threads > 0, "need at least one thread");
         self.threads = threads;
-        self
-    }
-
-    /// Partitioned-engine shards per scenario in the coordinator's own
-    /// drain loop (default 1). Spawned workers take the knob through their
-    /// command line instead — see [`run_worker_sharded`].
-    pub fn with_engine_shards(mut self, engine_shards: usize) -> Self {
-        assert!(engine_shards > 0, "need at least one engine shard");
-        self.engine_shards = engine_shards;
         self
     }
 
@@ -956,7 +929,7 @@ impl DistSweep {
         // On ANY failure from here on the children must still be reaped
         // (killed on the error path) — a zombie worker would keep
         // mutating a spool directory the caller believes is settled.
-        if let Err(e) = run_worker_sharded(&self.spool, self.threads, self.engine_shards) {
+        if let Err(e) = run_worker(&self.spool, self.threads) {
             reap_children(&mut children, true);
             return Err(e);
         }
@@ -1015,7 +988,7 @@ impl DistSweep {
                     discard_corrupt_result(&self.spool, index)?;
                     summary.corrupt_results += 1;
                     summary.requeued_tasks += 1;
-                    run_worker_sharded(&self.spool, self.threads, self.engine_shards)?;
+                    run_worker(&self.spool, self.threads)?;
                     idle_since = Instant::now();
                     poll.reset();
                 }
@@ -1050,7 +1023,7 @@ impl DistSweep {
                         let requeued = requeue_orphans(&self.spool)?;
                         if requeued > 0 {
                             summary.requeued_tasks += requeued;
-                            run_worker_sharded(&self.spool, self.threads, self.engine_shards)?;
+                            run_worker(&self.spool, self.threads)?;
                         }
                         continue;
                     }
@@ -1231,8 +1204,7 @@ mod tests {
         // must still decode — remote workers running older builds feed
         // the same spool.
         let sc = ScenarioRegistry::reduced().scenarios().remove(0);
-        let r =
-            SweepResult::from_trace("old", &sc.run_sharded(&mut simcal_sim::SimSession::new(), 1));
+        let r = SweepResult::from_trace("old", &sc.run(&mut simcal_sim::SimSession::new()));
         let mut json = sweep_result_to_json(&r);
         let fields = json.fields_mut().unwrap();
         fields.retain(|(k, _)| {
@@ -1270,8 +1242,7 @@ mod tests {
         // `--resume` must read both, ignore the fields, and write neither.
         use simcal_sim::codec::{decode_scenario, encode_scenario};
         let sc = ScenarioRegistry::reduced().scenarios().remove(0);
-        let r =
-            SweepResult::from_trace("old", &sc.run_sharded(&mut simcal_sim::SimSession::new(), 1));
+        let r = SweepResult::from_trace("old", &sc.run(&mut simcal_sim::SimSession::new()));
         let (task, result) = (encode_scenario(&sc), encode_sweep_result(&r));
         assert!(!task.contains("event_list") && !result.contains("calendar"));
         let old_task = task.replace(r#""wan_model":"#, r#""event_list":"calendar","wan_model":"#);

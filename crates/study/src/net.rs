@@ -7,20 +7,20 @@
 //! workers ([`TcpWorker`]) dial in from anywhere, and tasks, results, and
 //! heartbeats flow as length-prefixed [`simcal_sim::codec`] frames
 //! ([`WireMsg`]). The spool stays underneath as the durable journal —
-//! every accepted result is written through [`dist`]'s checksummed,
+//! every accepted result is written through [`crate::dist`]'s checksummed,
 //! atomically-renamed result files, so a crashed coordinator resumes with
 //! [`TcpSweep::with_resume`] exactly like the filesystem transport does.
 //!
 //! ## Protocol
 //!
 //! Each connection is **windowed and pipelined** (codec v5): the worker
-//! sends `Hello` once (advertising `threads`/`engine_shards`), then
+//! sends `Hello` once (advertising its `threads`), then
 //! loops `ClaimN { max, holding }` → (`TaskBatch` | `Heartbeat` |
 //! `Drain`), streaming a `Result` back as each task finishes and
 //! re-claiming *before* its queue drains so the claim round trip hides
 //! behind compute. The coordinator tracks a per-connection in-flight
 //! *set* and sizes each grant from an adaptive
-//! [`ClaimWindow`](crate::backoff::ClaimWindow): start at 1, double on a
+//! [`ClaimWindow`]: start at 1, double on a
 //! full accepted window, halve on any requeue, cap from observed
 //! claim→result latency vs per-task duration — so sub-millisecond tasks
 //! batch aggressively while long calibration tasks degrade to the old
@@ -63,7 +63,7 @@
 //! spool locally, so the sweep terminates within one stall window of
 //! the last external progress no matter what the workers do. Workers
 //! reconnect through the shared seeded
-//! [`Backoff`](crate::backoff::Backoff) dialer, dropping their local
+//! [`Backoff`] dialer, dropping their local
 //! queue (the coordinator requeues that window — recomputing is safe,
 //! double-journaling is impossible).
 //!
@@ -96,8 +96,8 @@ use crate::auth;
 use crate::backoff::{Backoff, ClaimWindow, MAX_CLAIM_WINDOW};
 use crate::dist::{
     count_results, fnv1a, merge_results, requeue_orphans, requeue_task, result_path, resume_spool,
-    run_worker_sharded, spool_tasks, sweep_result_from_json, sweep_result_to_json,
-    unfinished_claims, write_atomic, write_result_text, DistError, SpoolSource,
+    run_worker, spool_tasks, sweep_result_from_json, sweep_result_to_json, unfinished_claims,
+    write_atomic, write_result_text, DistError, SpoolSource,
 };
 use crate::sweep::{SweepResult, SweepRunner};
 
@@ -268,8 +268,6 @@ pub struct WorkerReport {
     pub name: String,
     /// Advertised worker threads (0 = unadvertised, e.g. a v4 peer).
     pub threads: u64,
-    /// Advertised engine shards per task (0 = unadvertised).
-    pub engine_shards: u64,
     /// Results this connection delivered (accepted or corrupt).
     pub tasks: usize,
     /// Frames read from this connection.
@@ -291,10 +289,9 @@ impl std::fmt::Display for WorkerReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}: caps={}t/{}s tasks={} frames={}in/{}out bytes={}in/{}out window={}",
+            "{}: caps={}t tasks={} frames={}in/{}out bytes={}in/{}out window={}",
             self.name,
             self.threads,
-            self.engine_shards,
             self.tasks,
             self.frames_in,
             self.frames_out,
@@ -461,7 +458,6 @@ struct ConnState {
     last_result_at: Option<Instant>,
     name: String,
     threads: u64,
-    engine_shards: u64,
     tasks_served: usize,
     /// True once the shared secret is proven (or never demanded).
     authed: bool,
@@ -487,7 +483,6 @@ impl ConnState {
             last_result_at: None,
             name: String::new(),
             threads: 0,
-            engine_shards: 0,
             tasks_served: 0,
             authed,
             preauth_claims: 0,
@@ -501,7 +496,6 @@ impl ConnState {
         WorkerReport {
             name: self.name.clone(),
             threads: self.threads,
-            engine_shards: self.engine_shards,
             tasks: self.tasks_served,
             frames_in: m.frames_in,
             frames_out: m.frames_out,
@@ -821,11 +815,10 @@ impl CoordShared {
                 Ok(msg) => {
                     last_alive = Instant::now();
                     match msg {
-                        WireMsg::Hello { worker, threads, engine_shards } => {
+                        WireMsg::Hello { worker, threads } => {
                             self.joined.fetch_add(1, Ordering::SeqCst);
                             ctl.name = worker;
                             ctl.threads = threads;
-                            ctl.engine_shards = engine_shards;
                             // Hello precedes any grant, so re-deriving
                             // the window from the advertised capability
                             // loses nothing.
@@ -988,7 +981,6 @@ pub struct TcpSweep {
     spool: PathBuf,
     listen: String,
     threads: usize,
-    engine_shards: usize,
     stall_timeout: Duration,
     seed: u64,
     resume: bool,
@@ -1005,7 +997,6 @@ impl TcpSweep {
             spool: spool.into(),
             listen: listen.into(),
             threads: 1,
-            engine_shards: 1,
             stall_timeout: Duration::from_secs(30),
             seed: 0,
             resume: false,
@@ -1018,12 +1009,6 @@ impl TcpSweep {
     /// fallback).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Partitioned-engine shards per scenario for the local fallback.
-    pub fn with_engine_shards(mut self, engine_shards: usize) -> Self {
-        self.engine_shards = engine_shards.max(1);
         self
     }
 
@@ -1176,9 +1161,7 @@ impl TcpSweep {
                         }
                         Err(e) => break Err(e),
                     }
-                    if let Err(e) =
-                        run_worker_sharded(&self.spool, self.threads, self.engine_shards)
-                    {
+                    if let Err(e) = run_worker(&self.spool, self.threads) {
                         break Err(e);
                     }
                     // The local drain wrote results the journaled
@@ -1240,7 +1223,7 @@ impl TcpSweep {
                     crate::dist::discard_corrupt_result(&self.spool, index)?;
                     shared.corrupt_results.fetch_add(1, Ordering::SeqCst);
                     shared.requeued.fetch_add(1, Ordering::SeqCst);
-                    run_worker_sharded(&self.spool, self.threads, self.engine_shards)?;
+                    run_worker(&self.spool, self.threads)?;
                 }
                 Err(DistError::Incomplete { .. }) if recoveries < MAX_RECOVERIES => {
                     // Workers that died at the very end may have left
@@ -1248,7 +1231,7 @@ impl TcpSweep {
                     recoveries += 1;
                     let n = requeue_orphans(&self.spool)?;
                     shared.requeued.fetch_add(n, Ordering::SeqCst);
-                    run_worker_sharded(&self.spool, self.threads, self.engine_shards)?;
+                    run_worker(&self.spool, self.threads)?;
                 }
                 Err(e) => return Err(e),
             }
@@ -1407,7 +1390,6 @@ pub struct TcpWorker {
     addr: String,
     name: String,
     threads: usize,
-    engine_shards: usize,
     seed: u64,
     heartbeat: Duration,
     patience: Duration,
@@ -1425,7 +1407,6 @@ impl TcpWorker {
             addr: addr.into(),
             name: format!("pid-{}", std::process::id()),
             threads: 1,
-            engine_shards: 1,
             seed: 0,
             heartbeat: Duration::from_millis(500),
             patience: Duration::from_secs(30),
@@ -1446,12 +1427,6 @@ impl TcpWorker {
     /// Concurrent connections (one task in flight per thread).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Partitioned-engine shards per scenario.
-    pub fn with_engine_shards(mut self, engine_shards: usize) -> Self {
-        self.engine_shards = engine_shards.max(1);
         self
     }
 
@@ -1553,7 +1528,7 @@ impl TcpWorker {
         t: usize,
         shared: &WorkerShared,
     ) -> Result<(ConnEnd, usize), DistError> {
-        let runner = SweepRunner::new().with_workers(1).with_engine_shards(self.engine_shards);
+        let runner = SweepRunner::new().with_workers(1);
         let thread_seed = self.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut dial = Backoff::new(Duration::from_millis(20), Duration::from_secs(2), thread_seed);
         let mut completed = 0usize;
@@ -1615,11 +1590,8 @@ impl TcpWorker {
         shared: &WorkerShared,
         completed: &mut usize,
     ) -> ConnEnd {
-        let hello = WireMsg::Hello {
-            worker: format!("{}/t{t}", self.name),
-            threads: self.threads as u64,
-            engine_shards: self.engine_shards as u64,
-        };
+        let hello =
+            WireMsg::Hello { worker: format!("{}/t{t}", self.name), threads: self.threads as u64 };
         if conn.send(&hello) == Sent::Broken {
             return ConnEnd::Reconnect;
         }
@@ -2299,7 +2271,7 @@ mod tests {
             &spool,
             &grid,
             coordinator(&spool),
-            vec![worker(|a| fast_worker(a, 23).with_name("obs").with_engine_shards(2))],
+            vec![worker(|a| fast_worker(a, 23).with_name("obs"))],
         );
         let (results, summary) = coord.unwrap();
         assert_eq!(fingerprints(&results), fingerprints(&local(&grid)));
@@ -2307,7 +2279,6 @@ mod tests {
         let r = &summary.per_worker[0];
         assert_eq!(r.name, "obs/t0");
         assert_eq!(r.threads, 1);
-        assert_eq!(r.engine_shards, 2);
         assert_eq!(r.tasks, grid.len());
         assert!(r.frames_in > 0 && r.frames_out > 0, "frame counters never moved: {r}");
         assert!(r.bytes_in > 0 && r.bytes_out > 0, "byte counters never moved: {r}");

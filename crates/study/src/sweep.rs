@@ -425,9 +425,6 @@ impl ShardSource for GridSource<'_> {
 pub struct SweepRunner {
     workers: usize,
     shard_size: usize,
-    /// Engine shards per scenario: multi-site scenarios partition their
-    /// sites over this many threads (single-site scenarios ignore it).
-    engine_shards: usize,
     /// Idle per-worker contexts (each parks a [`SimSession`]), reused
     /// across `run` calls exactly like the calibration evaluator's pool.
     contexts: Mutex<Vec<EvalContext>>,
@@ -443,7 +440,7 @@ impl SweepRunner {
     /// A runner using one worker per available core, shard size 1.
     pub fn new() -> Self {
         let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        Self { workers, shard_size: 1, engine_shards: 1, contexts: Mutex::new(Vec::new()) }
+        Self { workers, shard_size: 1, contexts: Mutex::new(Vec::new()) }
     }
 
     /// Override the worker count (1 = serial).
@@ -460,24 +457,9 @@ impl SweepRunner {
         self
     }
 
-    /// Override the per-scenario engine shard count. Multi-site scenarios
-    /// run their sites across this many threads under conservative
-    /// synchronization — the sweep results are bit-identical to 1 shard
-    /// (the sequential reference); single-site scenarios ignore it.
-    pub fn with_engine_shards(mut self, engine_shards: usize) -> Self {
-        assert!(engine_shards > 0, "need at least one engine shard");
-        self.engine_shards = engine_shards;
-        self
-    }
-
     /// The configured worker count.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The configured per-scenario engine shard count.
-    pub fn engine_shards(&self) -> usize {
-        self.engine_shards
     }
 
     /// Execute every scenario; results are index-aligned with the input
@@ -492,7 +474,7 @@ impl SweepRunner {
     /// other driver — so they come through the same pooled-context path.
     pub fn run_scenario(&self, sc: &Scenario) -> SweepResult {
         let mut ctx = self.checkout_context();
-        let r = Self::run_one(&mut ctx, sc, 0, self.engine_shards, &|_, _| {});
+        let r = Self::run_one(&mut ctx, sc, 0, &|_, _| {});
         self.return_context(ctx);
         r
     }
@@ -567,8 +549,7 @@ impl SweepRunner {
             while let Some(shard) = source.claim() {
                 for claimed in &shard {
                     let i = claimed.index();
-                    let r =
-                        Self::run_one(&mut ctx, claimed.scenario(), i, self.engine_shards, observe);
+                    let r = Self::run_one(&mut ctx, claimed.scenario(), i, observe);
                     each(i, &r);
                     out.push((i, r));
                 }
@@ -586,13 +567,7 @@ impl SweepRunner {
                     while let Some(shard) = source.claim() {
                         for claimed in &shard {
                             let i = claimed.index();
-                            let r = Self::run_one(
-                                &mut ctx,
-                                claimed.scenario(),
-                                i,
-                                self.engine_shards,
-                                observe,
-                            );
+                            let r = Self::run_one(&mut ctx, claimed.scenario(), i, observe);
                             each(i, &r);
                             tx.send((i, r)).expect("collector alive");
                         }
@@ -611,14 +586,12 @@ impl SweepRunner {
         ctx: &mut EvalContext,
         sc: &Scenario,
         index: usize,
-        engine_shards: usize,
         observe: &(dyn Fn(usize, &ExecutionTrace) + Sync),
     ) -> SweepResult {
         let session = ctx.get_or_insert_with(SimSession::new);
         let t0 = Instant::now();
-        let report = sc
-            .try_run_report(session, engine_shards)
-            .unwrap_or_else(|e| panic!("simulation failed: {e}"));
+        let report =
+            sc.try_run_report(session, 1).unwrap_or_else(|e| panic!("simulation failed: {e}"));
         let wall = t0.elapsed().as_secs_f64();
         observe(index, &report.trace);
         let mut r = SweepResult::from_report(&sc.name, &report);
@@ -659,16 +632,6 @@ mod tests {
         let parallel = SweepRunner::new().with_workers(4).run(&grid);
         assert_eq!(serial.len(), grid.len());
         assert_eq!(fingerprints(&serial), fingerprints(&parallel));
-    }
-
-    #[test]
-    fn engine_shards_do_not_change_results() {
-        // The whole reduced grid — single-site members ignore the shard
-        // count, multi-site members must be bit-identical under it.
-        let grid = ScenarioRegistry::reduced().scenarios();
-        let one = SweepRunner::new().with_workers(2).run(&grid);
-        let four = SweepRunner::new().with_workers(2).with_engine_shards(4).run(&grid);
-        assert_eq!(fingerprints(&one), fingerprints(&four));
     }
 
     #[test]

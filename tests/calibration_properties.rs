@@ -1,13 +1,44 @@
 //! Property-based tests of the calibration framework through the public
-//! API: parameter-space transforms, history invariants, and budget
-//! accounting.
+//! API: parameter-space transforms, history invariants, budget
+//! accounting, worker-count invariance, and non-finite objective values.
 
 use proptest::prelude::*;
 
 use simcal::calib::{
-    calibrate_with_workers, Budget, Calibrator, FnObjective, GridSearch, History, ParamSpace,
-    ParamSpec, RandomSearch,
+    calibrate_with_workers, BayesianOpt, Budget, CalibrationResult, Calibrator, CoordinateDescent,
+    FnObjective, GradientDescent, GridSearch, History, NelderMead, ParamSpace, ParamSpec,
+    RandomSearch, SimulatedAnnealing,
 };
+
+/// All eight algorithms, seeded.
+fn every_algorithm(seed: u64) -> Vec<Box<dyn Calibrator>> {
+    vec![
+        Box::new(RandomSearch::new(seed)),
+        Box::new(GridSearch::new()),
+        Box::new(GradientDescent::fixed(seed)),
+        Box::new(GradientDescent::dynamic(seed)),
+        Box::new(SimulatedAnnealing::new(seed)),
+        Box::new(NelderMead::new(seed)),
+        Box::new(CoordinateDescent::new(seed)),
+        Box::new(BayesianOpt::new(seed)),
+    ]
+}
+
+/// The smooth bowl in log2 space, minimum 0 at `2^28` on every axis.
+fn log_sphere(v: &[f64]) -> f64 {
+    v.iter().map(|x| (x.log2() - 28.0).powi(2)).sum()
+}
+
+/// Everything about a result that must not depend on the worker count:
+/// the best point and error, and the error column of the convergence
+/// curve (its cost column is measured wall time).
+fn outcome(r: &CalibrationResult) -> (Vec<u64>, u64, Vec<u64>) {
+    (
+        r.best_values.iter().map(|v| v.to_bits()).collect(),
+        r.best_error.to_bits(),
+        r.curve.iter().map(|&(_, e)| e.to_bits()).collect(),
+    )
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -81,6 +112,61 @@ proptest! {
         let best = h.best().unwrap();
         let min = errors.iter().copied().fold(f64::INFINITY, f64::min);
         prop_assert_eq!(best.error, min);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every algorithm gives the same best point, best error and
+    /// convergence curve at 1 worker as at 2, 3 or 4.
+    #[test]
+    fn results_are_worker_count_invariant(
+        seed in 0u64..1000,
+        evals in 1u64..60,
+        workers in 2usize..=4,
+    ) {
+        let space = ParamSpace::paper(&["a", "b", "c"]);
+        // A point-dependent sleep makes parallel workers finish out of
+        // order, as real simulations do.
+        let obj = FnObjective(|v: &[f64]| {
+            std::thread::sleep(std::time::Duration::from_micros(v[0].to_bits() % 200));
+            log_sphere(v)
+        });
+        let serial = every_algorithm(seed);
+        for (mut one, mut many) in serial.into_iter().zip(every_algorithm(seed)) {
+            let budget = Budget::Evaluations(evals);
+            let a = calibrate_with_workers(one.as_mut(), &obj, &space, budget, Some(1));
+            let b = calibrate_with_workers(many.as_mut(), &obj, &space, budget, Some(workers));
+            prop_assert_eq!(outcome(&a), outcome(&b), "{} at {} workers", a.algorithm, workers);
+        }
+    }
+}
+
+/// A NaN (or +inf) objective over part of the space neither freezes an
+/// algorithm nor kills the run: every algorithm spends its whole budget,
+/// and annealing, which restarts away from the bad region, finds a finite
+/// best.
+#[test]
+fn non_finite_objective_values_do_not_stall_or_kill_a_run() {
+    let space = ParamSpace::paper(&["a", "b", "c"]);
+    for bad in [f64::NAN, f64::INFINITY] {
+        let obj =
+            FnObjective(move |v: &[f64]| if v[0] > 2f64.powi(29) { bad } else { log_sphere(v) });
+        for mut algo in every_algorithm(1) {
+            let r = calibrate_with_workers(
+                algo.as_mut(),
+                &obj,
+                &space,
+                Budget::Evaluations(60),
+                Some(1),
+            );
+            assert_eq!(r.evaluations, 60, "{} under {bad}", r.algorithm);
+            assert_eq!(r.curve.len(), 60, "{} under {bad}", r.algorithm);
+            if r.algorithm == "ANNEAL" {
+                assert!(r.best_error.is_finite(), "ANNEAL under {bad}: {}", r.best_error);
+            }
+        }
     }
 }
 

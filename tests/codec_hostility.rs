@@ -31,11 +31,7 @@ fn corpus() -> Vec<String> {
     vec![
         encode_scenario(sc),
         encode_sweep_result(result),
-        encode_msg(&WireMsg::Hello {
-            worker: "prop-worker".to_string(),
-            threads: 4,
-            engine_shards: 2,
-        }),
+        encode_msg(&WireMsg::Hello { worker: "prop-worker".to_string(), threads: 4 }),
         encode_msg(&WireMsg::Claim),
         encode_msg(&WireMsg::ClaimN { max: 8, holding: vec![3, 11, u64::MAX] }),
         encode_msg(&WireMsg::Task { index: 7, scenario: scenario_json() }),

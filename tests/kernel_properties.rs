@@ -390,11 +390,11 @@ proptest! {
     /// schedule — arrivals at fixed instants, cancels tied to the
     /// completion count — delivers bit-identical `(time, flow)`
     /// completions whether the arrivals ride user timers, or they are
-    /// injected with `advance_clock` (as `des::partition` does) with
+    /// injected with `advance_clock` (as the multi-site driver does) with
     /// further `settle_rates()`, `peek_time()` and `advance_clock(peek)`
     /// calls sprinkled between the operations. Both runs settle after
-    /// every arrival and cancel, as `des::partition`'s loop does in every
-    /// configuration by peeking between messages: a settle *between* two
+    /// every arrival and cancel, as the multi-site driver's loop does by
+    /// peeking between messages: a settle *between* two
     /// same-instant changes is itself a change (it can form or dissolve a
     /// class on the intermediate population), only a repeated one is not.
     #[test]

@@ -1,35 +1,28 @@
-//! Partitioned parallel DES properties over the real multi-site simulator.
+//! Multi-site simulation properties over the real multi-site simulator.
 //!
-//! `crates/des/src/partition.rs` proves the conservative protocol on toy
-//! relay topologies; these tests pin the same guarantees end-to-end
-//! through the public scenario path:
+//! Each site runs its own engine under one conservative global-min driver
+//! (`sim::multisite`); these tests pin its guarantees end-to-end through
+//! the public scenario path:
 //!
-//! 1. **Shard invariance**: every multi-site registry scenario produces a
-//!    bit-identical trace at 1 (the sequential oracle), 2, and 4 shards;
-//! 2. **Lookahead safety**: the WAN-derived lookahead is exactly the
-//!    narrowest link latency, strictly positive, and the parallel run
-//!    really exercises the null-message machinery;
-//! 3. **Deadlock freedom**: ring and star topologies complete at maximal
-//!    sharding (one site per thread) — the blocked-wait protocol always
-//!    wakes up;
-//! 4. the same invariance holds on **randomized** star topologies,
-//!    workloads, and shard counts (proptest).
+//! 1. **Lookahead safety**: the WAN-derived lookahead is exactly the
+//!    narrowest link latency, strictly positive, and no staged job starts
+//!    before its request and its data have each crossed the WAN;
+//! 2. **Completion**: ring and star topologies complete every job, once,
+//!    on its round-robin compute site;
+//! 3. the same holds on **randomized** star topologies and workloads
+//!    (proptest), and two runs give the same trace.
 
 use proptest::prelude::*;
 
-use simcal::des::SyncStats;
-use simcal::platform::{catalog, MultiSiteBuilder, PlatformKind};
-use simcal::sim::{
-    try_simulate_multisite_with_stats, CacheSpec, Scenario, ScenarioRegistry, SimConfig,
-    SimSession, WorkloadSource,
-};
-use simcal::workload::{ArrivalProcess, Distribution, WorkloadSpec};
+use simcal::platform::{catalog, MultiSiteBuilder, MultiSiteSpec, PlatformKind};
+use simcal::sim::{CacheSpec, Scenario, ScenarioRegistry, SimConfig, SimSession, WorkloadSource};
+use simcal::workload::{ArrivalProcess, Distribution, ExecutionTrace, WorkloadSpec};
 
 /// One job record, flattened to bit-exact comparable form.
 type JobBits = (usize, usize, u32, u64, u64);
 
 /// Job-trace fingerprint: everything the sweep's trace hash covers.
-fn fingerprint(trace: &simcal::workload::ExecutionTrace) -> (Vec<JobBits>, usize, u64) {
+fn fingerprint(trace: &ExecutionTrace) -> (Vec<JobBits>, usize, u64) {
     let jobs = trace
         .jobs
         .iter()
@@ -38,41 +31,29 @@ fn fingerprint(trace: &simcal::workload::ExecutionTrace) -> (Vec<JobBits>, usize
     (jobs, trace.n_nodes, trace.engine_events)
 }
 
-#[test]
-fn every_multisite_builtin_is_shard_invariant() {
-    for reg in [ScenarioRegistry::builtin(), ScenarioRegistry::reduced()] {
-        let scenarios: Vec<Scenario> = reg
-            .entries()
-            .iter()
-            .filter(|e| e.scenario.multisite.is_some())
-            .map(|e| e.scenario.clone())
-            .collect();
-        assert_eq!(scenarios.len(), 4, "the registry carries four multi-site scenarios");
-        for sc in &scenarios {
-            let oracle = fingerprint(&sc.run_sharded(&mut SimSession::new(), 1));
-            for shards in [2usize, 4] {
-                let trace = sc.run_sharded(&mut SimSession::new(), shards);
-                assert_eq!(
-                    fingerprint(&trace),
-                    oracle,
-                    "{}: {shards}-shard trace differs from the sequential oracle",
-                    sc.name
-                );
-            }
-        }
+/// Assert every job completed exactly once, on a node of the compute site
+/// round-robin assignment gives it (job `j` on `compute_sites[j % k]`).
+fn assert_jobs_on_their_sites(ms: &MultiSiteSpec, trace: &ExecutionTrace, n_jobs: usize) {
+    let sites = ms.compute_sites();
+    assert_eq!(trace.jobs.len(), n_jobs, "{}: every job completes", ms.name);
+    assert_eq!(trace.n_nodes, ms.compute_node_count());
+    for (j, r) in trace.jobs.iter().enumerate() {
+        assert_eq!(r.job, j, "{}: job {j} recorded once, in order", ms.name);
+        let site = sites[j % sites.len()];
+        let lo = ms.node_offset(site);
+        let hi = lo + ms.sites[site].node_count();
+        assert!(
+            (lo..hi).contains(&r.node),
+            "{}: job {j} ran on node {} outside site {site}'s nodes {lo}..{hi}",
+            ms.name,
+            r.node
+        );
     }
-}
-
-/// Run one materialized multi-site scenario, returning trace + stats.
-fn run_with_stats(sc: &Scenario, shards: usize) -> (simcal::workload::ExecutionTrace, SyncStats) {
-    let ms = sc.multisite.as_ref().expect("multi-site scenario");
-    let m = sc.materialize();
-    try_simulate_multisite_with_stats(ms, &m.workload, &m.plan, &sc.config, shards)
-        .expect("simulation failed")
 }
 
 #[test]
 fn lookahead_is_the_narrowest_wan_latency_and_the_protocol_runs_inside_it() {
+    let mut staged = 0;
     for e in ScenarioRegistry::reduced().entries() {
         let Some(ms) = &e.scenario.multisite else { continue };
         let min_latency = ms.links.iter().map(|l| l.latency).fold(f64::INFINITY, f64::min);
@@ -84,46 +65,52 @@ fn lookahead_is_the_narrowest_wan_latency_and_the_protocol_runs_inside_it() {
             e.scenario.name
         );
 
-        let (trace, stats) = run_with_stats(&e.scenario, ms.site_count());
-        assert_eq!(stats.lookahead, min_latency);
-        assert_eq!(stats.partitions, ms.site_count());
-        assert!(stats.shards > 1, "{}: the run must actually shard", e.scenario.name);
-        // Staging crosses sites, so the conservative machinery must have
-        // carried real traffic and real null messages.
-        assert!(stats.data_messages > 0, "{}: no cross-shard traffic?", e.scenario.name);
-        assert!(stats.horizon_announcements > 0, "{}: no null messages?", e.scenario.name);
-        assert_eq!(
-            fingerprint(&trace),
-            fingerprint(&e.scenario.run_sharded(&mut SimSession::new(), 1))
-        );
+        // A staged job's request and data each cross the WAN, so it can
+        // start no earlier than its release plus the round trip to the
+        // hub — at least twice the lookahead.
+        let m = e.scenario.materialize();
+        let trace = m.run(&mut SimSession::new());
+        let lat = ms.path_latencies();
+        let sites = ms.compute_sites();
+        for r in &trace.jobs {
+            let inputs: f64 = m.workload.jobs[r.job].input_files.iter().map(|f| f.size).sum();
+            if inputs - m.plan.cached_bytes(&m.workload, r.job) <= 0.0 {
+                continue;
+            }
+            staged += 1;
+            let site = sites[r.job % sites.len()];
+            let round_trip = lat[site][ms.storage_site] + lat[ms.storage_site][site];
+            assert!(round_trip >= 2.0 * min_latency);
+            assert!(
+                r.start >= r.release + round_trip,
+                "{}: job {} started at {} before its staging round trip ({} + {round_trip})",
+                e.scenario.name,
+                r.job,
+                r.start,
+                r.release
+            );
+        }
     }
+    assert!(staged > 0, "the reduced multi-site family must stage some inputs");
 }
 
 #[test]
 fn ring_and_star_topologies_complete_at_maximal_sharding() {
-    // Deadlock freedom, end-to-end: every site on its own thread, cyclic
-    // (ring) and hub-and-spoke (star) WAN graphs. A protocol deadlock
-    // would hang this test rather than fail an assertion.
+    // Cyclic (ring) and hub-and-spoke (star) WAN graphs: every job
+    // completes once on its round-robin site.
     for ms in [
         catalog::multisite_ring(PlatformKind::Fcsn, 4),
         catalog::multisite_ring(PlatformKind::Scsn, 3),
         catalog::multisite_star(PlatformKind::Fcfn, 4),
     ] {
-        let sc = scenario_on(ms.clone(), 2 * ms.compute_sites().len(), 3, 0x5eed);
-        let oracle = fingerprint(&sc.run_sharded(&mut SimSession::new(), 1));
-        let trace = sc.run_sharded(&mut SimSession::new(), ms.site_count());
-        assert_eq!(fingerprint(&trace), oracle, "{}: sharded run diverged", sc.name);
-        assert_eq!(trace.jobs.len(), 2 * ms.compute_sites().len(), "every job completed");
+        let n_jobs = 2 * ms.compute_sites().len();
+        let sc = scenario_on(ms.clone(), n_jobs, 3, 0x5eed);
+        assert_jobs_on_their_sites(&ms, &sc.run(&mut SimSession::new()), n_jobs);
     }
 }
 
 /// Wrap a topology and a small constant workload into a scenario.
-fn scenario_on(
-    ms: simcal::platform::MultiSiteSpec,
-    n_jobs: usize,
-    files_per_job: usize,
-    seed: u64,
-) -> Scenario {
+fn scenario_on(ms: MultiSiteSpec, n_jobs: usize, files_per_job: usize, seed: u64) -> Scenario {
     Scenario {
         name: format!("pdes-{}", ms.name),
         platform: ms.sites[ms.compute_sites()[0]].clone(),
@@ -149,8 +136,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Randomized star topologies: site count, per-link latencies and
-    /// bandwidths, workload shape, cache depth, and shard count are all
-    /// drawn — the sharded trace always matches the sequential oracle.
+    /// bandwidths, workload shape and cache depth are all drawn — every
+    /// job completes once on its site, and a second run (on a reused
+    /// session) reproduces the trace bit for bit.
     #[test]
     fn random_star_topologies_are_shard_invariant(
         k in 2usize..5,
@@ -160,7 +148,6 @@ proptest! {
         files in 1usize..4,
         icd_milli in 0u64..1000,
         wseed in 0u64..u64::MAX,
-        shards in 2usize..6,
     ) {
         let hub = catalog::storage_hub();
         let mut b = MultiSiteBuilder::new("prop-star").site(hub);
@@ -174,10 +161,11 @@ proptest! {
             );
         }
         let ms = b.build();
-        let mut sc = scenario_on(ms, n_jobs, files, wseed);
+        let mut sc = scenario_on(ms.clone(), n_jobs, files, wseed);
         sc.cache.icd = icd_milli as f64 / 1000.0;
-        let oracle = fingerprint(&sc.run_sharded(&mut SimSession::new(), 1));
-        let trace = sc.run_sharded(&mut SimSession::new(), shards);
-        prop_assert_eq!(fingerprint(&trace), oracle);
+        let mut session = SimSession::new();
+        let first = sc.run(&mut session);
+        assert_jobs_on_their_sites(&ms, &first, n_jobs);
+        prop_assert_eq!(fingerprint(&sc.run(&mut session)), fingerprint(&first));
     }
 }
