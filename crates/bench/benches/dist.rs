@@ -1,12 +1,17 @@
-//! Distributed-driver overhead: the spooled coordinator at one process vs
-//! the in-process `SweepRunner`, both single-threaded over the reduced
-//! registry.
+//! Distributed-driver overhead: the spooled coordinator at one process and
+//! the TCP coordinator with dialed-in workers vs the in-process
+//! `SweepRunner`, every worker single-threaded, over the reduced registry.
 //!
-//! The delta between the two entries is the whole cost of the
-//! distribution machinery — encoding every scenario to a task file,
-//! claim-by-rename, result encode/decode, checksums, and the merge — and
-//! `BENCH_dist.json` tracks it across PRs. It is pure overhead at one
-//! process; it buys linear scaling across processes/machines.
+//! The delta between the in-process and spooled entries is the whole cost
+//! of the distribution machinery — encoding every scenario to a task
+//! file, claim-by-rename, result encode/decode, checksums, and the merge
+//! — and `BENCH_dist.json` tracks it across PRs. It is pure overhead at
+//! one process; it buys linear scaling across processes/machines. The
+//! one-worker TCP entries add the framed protocol on top at the two
+//! windows worth comparing: one task per claim, and the default window.
+//! The two-worker entry shares the grid between siblings, so the tail of
+//! the sweep — one worker still holding granted tasks while the other
+//! has none left to claim — is part of what it measures.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -39,12 +44,12 @@ fn bench_dist(c: &mut Criterion) {
             results.len()
         });
     });
-    // The socket transport on loopback: coordinator + one dialed-in
-    // worker thread, at a given claim window. The delta over the spooled
+    // The socket transport on loopback: coordinator + `workers` dialed-in
+    // worker threads, at a given claim window. The delta over the spooled
     // entry is the cost of the framed TCP protocol — accept,
-    // Hello/Claim/Task/Result round trips, heartbeats — on top of the
-    // same spool journal.
-    let tcp_fleet = |window: Option<usize>, iter: u64| {
+    // Hello/ClaimN/TaskBatch/Result round trips, heartbeats — on top of
+    // the same spool journal.
+    let tcp_fleet = |workers: usize, window: Option<usize>, iter: u64| {
         let spool = spool_base.join(format!("iter-{iter}"));
         let driver = TcpSweep::new(&spool, "127.0.0.1:0".to_string())
             .with_threads(1)
@@ -61,28 +66,48 @@ fn bench_dist(c: &mut Criterion) {
                 // the transport.
                 std::thread::sleep(Duration::from_micros(100));
             };
-            TcpWorker::new(addr).with_threads(1).with_claim_window(window).run().unwrap();
+            let fleet: Vec<_> = (0..workers)
+                .map(|_| {
+                    let addr = addr.clone();
+                    scope.spawn(move |_| {
+                        TcpWorker::new(addr)
+                            .with_threads(1)
+                            .with_claim_window(window)
+                            .run()
+                            .unwrap()
+                    })
+                })
+                .collect();
+            for worker in fleet {
+                worker.join().unwrap();
+            }
             coord.join().unwrap()
         })
         .unwrap();
         std::fs::remove_dir_all(&spool).ok();
         n_results
     };
-    // Lock-step baseline: the window pinned to 1 reproduces the v4
-    // one-task-per-claim protocol's round-trip cadence.
-    group.bench_function(&format!("registry{n}_tcp_1worker"), |b| {
+    // Window 1: one task per claim, so every task pays a full claim
+    // round trip on the critical path.
+    group.bench_function(&format!("registry{n}_tcp_1worker_window1"), |b| {
         b.iter(|| {
             iter_count.set(iter_count.get() + 1);
-            tcp_fleet(Some(1), iter_count.get())
+            tcp_fleet(1, Some(1), iter_count.get())
         });
     });
-    // The adaptive window (the default): claims pipeline ahead of
-    // results, so the per-task round trip disappears from the critical
-    // path. The gap to the lock-step entry is what batching buys.
-    group.bench_function(&format!("registry{n}_tcp_1worker_batched"), |b| {
+    // The default window: claims pipeline ahead of results, so the
+    // per-task round trip leaves the critical path. The gap to the
+    // window-1 entry is what the window buys.
+    group.bench_function(&format!("registry{n}_tcp_1worker_default"), |b| {
         b.iter(|| {
             iter_count.set(iter_count.get() + 1);
-            tcp_fleet(None, iter_count.get())
+            tcp_fleet(1, None, iter_count.get())
+        });
+    });
+    group.bench_function(&format!("registry{n}_tcp_2workers_default"), |b| {
+        b.iter(|| {
+            iter_count.set(iter_count.get() + 1);
+            tcp_fleet(2, None, iter_count.get())
         });
     });
 

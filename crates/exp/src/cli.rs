@@ -58,9 +58,8 @@ pub struct Options {
     pub fault: Option<String>,
     /// `sweep-worker --max-tasks N`: leave gracefully after N tasks.
     pub max_tasks: Option<u64>,
-    /// `--claim-window N|auto`: pin the TCP task-handout window to N,
-    /// or let the coordinator adapt it per connection (`None` = auto,
-    /// the default).
+    /// `--claim-window N|auto`: pin the TCP task-handout window to N
+    /// (`None` = `auto`, the transport's default window).
     pub claim_window: Option<usize>,
     /// `--auth-token TOKEN`: shared secret for the TCP transport's
     /// challenge/response handshake (mandatory for non-loopback
@@ -79,7 +78,62 @@ pub struct Options {
     /// — the collapsed flow-level configuration that is bit-identical to
     /// max–min, used for artifact comparison).
     pub wan_model: Option<simcal_sim::WanModel>,
+    /// Every [`FLAG_MODES`] entry whose flag was given, in order.
+    given: Vec<(&'static str, &'static [Mode])>,
 }
+
+/// Which driver an invocation runs. Each flag in [`FLAG_MODES`] is read
+/// by some of these and rejected by the rest.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Mode {
+    /// `sweep` through the in-process driver.
+    Local,
+    /// `sweep --distributed`.
+    Distributed,
+    /// `sweep --listen`.
+    Listen,
+    /// `sweep-worker --connect`.
+    Connect,
+    /// `sweep-worker SPOOL`.
+    SpoolWorker,
+    /// Any other command.
+    Other,
+}
+
+impl Mode {
+    fn label(self, command: &str) -> String {
+        match self {
+            Mode::Local => "`sweep`".to_string(),
+            Mode::Distributed => "`sweep --distributed`".to_string(),
+            Mode::Listen => "`sweep --listen`".to_string(),
+            Mode::Connect => "`sweep-worker --connect`".to_string(),
+            Mode::SpoolWorker => "`sweep-worker SPOOL`".to_string(),
+            Mode::Other => format!("`{command}`"),
+        }
+    }
+}
+
+/// The flags only some drivers read, and the modes that read them. Any
+/// other mode rejects them: accepting a flag nothing reads would silently
+/// run something other than what was asked for.
+const FLAG_MODES: &[(&str, &[Mode])] = {
+    use Mode::{Connect, Distributed, Listen, Local, SpoolWorker};
+    &[
+        ("--horizon", &[Local, Distributed, Listen]),
+        ("--wan-model", &[Local, Distributed, Listen]),
+        ("--distributed", &[Distributed]),
+        ("--listen", &[Listen]),
+        ("--connect", &[Connect]),
+        ("--spool", &[Distributed, Listen, SpoolWorker]),
+        ("--spawn", &[Distributed]),
+        ("--resume", &[Distributed, Listen]),
+        ("--stall-timeout", &[Distributed, Listen, Connect]),
+        ("--claim-window", &[Listen, Connect]),
+        ("--auth-token", &[Listen, Connect]),
+        ("--fault", &[Connect]),
+        ("--max-tasks", &[Connect]),
+    ]
+};
 
 impl Options {
     /// Parse a raw argument list.
@@ -113,9 +167,13 @@ impl Options {
             algo: "random".to_string(),
             horizon: None,
             wan_model: None,
+            given: Vec::new(),
         };
         let mut it = args.iter();
         while let Some(a) = it.next() {
+            if let Some(&entry) = FLAG_MODES.iter().find(|(flag, _)| flag == a) {
+                opts.given.push(entry);
+            }
             let mut take = |name: &str| -> Result<String, String> {
                 it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
             };
@@ -209,22 +267,39 @@ impl Options {
         Ok(opts)
     }
 
-    /// `--horizon` and `--wan-model` edit the scenarios a `sweep` runs; no
-    /// other command reads them, so accepting them there would silently
-    /// run something other than what was asked for.
-    fn reject_sweep_only_flags(&self) -> Result<(), String> {
-        if self.command == "sweep" {
-            return Ok(());
+    /// The driver this invocation runs.
+    fn mode(&self) -> Result<Mode, String> {
+        Ok(match self.command.as_str() {
+            "sweep" => match (self.listen.is_some(), self.distributed) {
+                (true, true) => {
+                    return Err("--listen and --distributed select different sweep drivers; \
+                                pass one"
+                        .to_string())
+                }
+                (true, false) => Mode::Listen,
+                (false, true) => Mode::Distributed,
+                (false, false) => Mode::Local,
+            },
+            "sweep-worker" if self.connect.is_some() => Mode::Connect,
+            "sweep-worker" => Mode::SpoolWorker,
+            _ => Mode::Other,
+        })
+    }
+
+    /// Reject every given flag the invocation's driver does not read.
+    fn reject_unread_flags(&self) -> Result<(), String> {
+        let mode = self.mode()?;
+        for (flag, modes) in &self.given {
+            if !modes.contains(&mode) {
+                let readers: Vec<String> = modes.iter().map(|m| m.label("")).collect();
+                return Err(format!(
+                    "{flag} is read only by {}; {} does not take it",
+                    readers.join(", "),
+                    mode.label(&self.command)
+                ));
+            }
         }
-        let given =
-            [("--horizon", self.horizon.is_some()), ("--wan-model", self.wan_model.is_some())];
-        match given.iter().find(|(_, set)| *set) {
-            Some((flag, _)) => Err(format!(
-                "{flag} edits the scenarios a `sweep` runs; `{}` does not take it",
-                self.command
-            )),
-            None => Ok(()),
-        }
+        Ok(())
     }
 
     /// Build the experiment context this invocation asks for.
@@ -366,10 +441,10 @@ Options:
                                 partition-after=N, delay-every=KxMS,
                                 corrupt-result=N, or seed=N (derive one fault)
   --max-tasks N                 sweep-worker leaves gracefully after N tasks
-  --claim-window N|auto         TCP task-handout window: pin each connection
-                                to N tasks in flight (1 = v4 lock-step), or
-                                adapt per connection from observed latency
-                                (default auto)
+  --claim-window N|auto         TCP task-handout window: at most N granted
+                                tasks without a result per connection (1 =
+                                one task per claim); auto is the default of 4
+                                (sweep --listen / sweep-worker --connect)
   --auth-token TOKEN            TCP transport shared secret (HMAC challenge/
                                 response; required to --listen on an interface
                                 other than loopback)
@@ -847,7 +922,7 @@ fn run_calibrate(opts: &Options) -> Result<(), String> {
 /// Entry point used by `main`.
 pub fn run(args: &[String]) -> Result<(), String> {
     let opts = Options::parse(args)?;
-    opts.reject_sweep_only_flags()?;
+    opts.reject_unread_flags()?;
     match opts.command.as_str() {
         "help" | "--help" | "-h" => {
             println!("{HELP}");
@@ -1393,6 +1468,70 @@ mod tests {
             assert_eq!(err, "unknown argument \"--event-list\"");
             let err = run(&[cmd, "--reduced", "--engine-shards", "2"]).unwrap_err();
             assert_eq!(err, "unknown argument \"--engine-shards\"");
+        }
+    }
+
+    #[test]
+    fn transport_flags_no_driver_reads_are_rejected() {
+        let run = |args: &[&str]| run(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+        let dir = std::env::temp_dir().join(format!("simcal-cli-unread-{}", std::process::id()));
+        let spool = dir.to_str().unwrap();
+        let local = ["sweep", "straggler", "--reduced"];
+        for extra in [
+            &["--claim-window", "8"][..],
+            &["--claim-window", "auto"],
+            &["--auth-token", "x"],
+            &["--fault", "kill-after=1"],
+            &["--max-tasks", "3"],
+            &["--spawn", "2"],
+            &["--resume"],
+            &["--stall-timeout", "5"],
+            &["--spool", spool],
+            &["--connect", "1.2.3.4:5"],
+        ] {
+            let args: Vec<&str> = local.iter().chain(extra).copied().collect();
+            let err = run(&args).expect_err(&format!("{args:?} ran a local sweep"));
+            assert!(err.starts_with(extra[0]), "{args:?}: {err}");
+            assert!(err.ends_with("`sweep` does not take it"), "{args:?}: {err}");
+        }
+        // Two drivers at once is an error, not a silent pick of one.
+        let both = [&local[..], &["--listen", "127.0.0.1:0", "--distributed", "--spool", spool]];
+        let err = run(&[&both.concat()[..], &["--stall-timeout", "1"]].concat()).unwrap_err();
+        assert!(err.contains("--listen and --distributed"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn each_driver_accepts_exactly_the_flags_it_reads() {
+        let check = |args: &[&str]| parse(args).unwrap().reject_unread_flags();
+        for args in [
+            &["sweep", "--distributed", "--spool", "d", "--spawn", "2", "--resume"][..],
+            &["sweep", "--distributed", "--spool", "d", "--stall-timeout", "5", "--horizon", "9"],
+            &["sweep", "--listen", "a:1", "--spool", "d", "--resume", "--stall-timeout", "5"],
+            &["sweep", "--listen", "a:1", "--claim-window", "auto", "--auth-token", "t"],
+            &["sweep", "--wan-model", "maxmin", "--horizon", "9"],
+            &["sweep-worker", "--connect", "a:1", "--stall-timeout", "5", "--claim-window", "4"],
+            &["sweep-worker", "--connect", "a:1", "--auth-token", "t", "--fault", "seed=1"],
+            &["sweep-worker", "--connect", "a:1", "--max-tasks", "2", "--workers", "2"],
+            &["sweep-worker", "--spool", "d", "--workers", "2"],
+        ] {
+            assert_eq!(check(args), Ok(()), "{args:?}");
+        }
+        for (args, flag, mode) in [
+            (&["sweep", "--distributed", "--auth-token", "t"][..], "--auth-token", "distributed"),
+            (&["sweep", "--distributed", "--max-tasks", "1"], "--max-tasks", "distributed"),
+            (&["sweep", "--listen", "a:1", "--spawn", "2"], "--spawn", "listen"),
+            (&["sweep", "--listen", "a:1", "--fault", "seed=1"], "--fault", "listen"),
+            (&["sweep-worker", "--connect", "a:1", "--spool", "d"], "--spool", "--connect"),
+            (&["sweep-worker", "--connect", "a:1", "--resume"], "--resume", "--connect"),
+            (&["sweep-worker", "--connect", "a:1", "--distributed"], "--distributed", "--connect"),
+            (&["sweep-worker", "d", "--claim-window", "4"], "--claim-window", "SPOOL"),
+            (&["sweep-worker", "d", "--stall-timeout", "5"], "--stall-timeout", "SPOOL"),
+            (&["sweep-worker", "--listen", "a:1"], "--listen", "SPOOL"),
+            (&["table3", "--spool", "d"], "--spool", "`table3`"),
+        ] {
+            let err = check(args).unwrap_err();
+            assert!(err.starts_with(flag) && err.contains(mode), "{args:?}: {err}");
         }
     }
 

@@ -107,7 +107,7 @@ fn batched_fleet_with_mid_window_faults_matches_the_local_artifact() {
 
     // Windowed handout on both ends: the coordinator pins a 4-task
     // window so the saboteur's dropped frame lands mid-window, and the
-    // whole fleet speaks the pipelined v5 protocol under an auth token.
+    // whole fleet speaks the pipelined protocol under an auth token.
     let spool = base.join("spool");
     let out = base.join("out");
     let mut coordinator =

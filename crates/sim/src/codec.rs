@@ -40,40 +40,15 @@ use crate::scheduler::SchedulerPolicy;
 
 /// The codec version written into top-level payloads.
 ///
-/// Version history: v1 = the PR 4 wire form; v2 adds job release times —
-/// `arrival` on workload specs, per-job `release` on concrete workloads,
-/// and `release_time_scale` on [`SimConfig`]. v2 decoders accept v1
-/// payloads (the new fields default to the legacy all-at-t=0 behaviour).
-/// v3 adds the optional `multisite` topology (emitted only when set);
-/// payloads of any version that lack it decode to the classic single-site
-/// scenario, so v3 decoders accept v1 and v2 unchanged. v4 adds the sweep
-/// protocol envelope ([`WireMsg`]: Hello/Claim/Task/Result/Heartbeat/
-/// Drain/Bye) and length-prefixed framing ([`write_frame`]/[`read_frame`])
-/// for the TCP transport; scenario and result payloads are unchanged, so
-/// v4 decoders accept v1–v3. v5 adds windowed task handout
-/// (`ClaimN { max, holding }` / `TaskBatch { tasks }`), worker capability
-/// advertisement (`threads` on `Hello`, plus a per-task engine-shard count
-/// retired in place without a bump when the sharded engine was deleted:
-/// encoders no longer emit it and decoders ignore it like any unknown
-/// field), and the shared-secret handshake (`AuthChallenge` / `AuthProof`
-/// / `Reject`).
-/// v5 decoders accept v4 payloads (a `Claim` is a `ClaimN { max: 1,
-/// holding: [] }`, a bare `Hello` advertises no capabilities), and v4
-/// decoders accept the v5 `Hello`/`Task`/`Result` envelopes unchanged
-/// because unknown fields are ignored and [`check_version`] tolerates
-/// newer versions. v6 adds the optional steady-state `horizon` spec on
-/// scenarios (emitted only when set, like `multisite`); v6 decoders
-/// accept v1–v5 payloads unchanged. (v6 also carried a timer-store
-/// selector, `event_list` on [`SimConfig`], and `calendar_resizes` /
-/// `calendar_overflow_hits` on sweep results. All three were retired in
-/// place without a bump when the store became a single heap: encoders no
-/// longer emit them and decoders ignore them like any unknown field, so a
-/// spool journaled by an older binary still resumes.) v7 adds the WAN bandwidth model
-/// (`wan_model` on [`SimConfig`], required from v7 on): `"maxmin"` or a
-/// flow-level object with propagation delay and congestion-window
-/// parameters. Pre-v7 payloads decode to [`WanModel::MaxMin`], the
-/// byte-identical historical behaviour, so v7 decoders accept v1–v6
-/// unchanged.
+/// Version policy: a decoder accepts exactly this version and anything
+/// newer. An older `"v"` is a [`CodecError::UnsupportedVersion`] naming
+/// both versions; there is no decode-compat layer, so a payload from an
+/// older binary is re-encoded (or the sweep re-spooled), never silently
+/// read with defaulted fields. A newer payload decodes best-effort:
+/// unknown fields are ignored, so a later version may add optional fields
+/// without breaking this one. A field may likewise be retired in place
+/// without a bump (encoders stop emitting it, decoders already ignore
+/// it). Adding, changing or removing a required field is a bump.
 pub const CODEC_VERSION: u64 = 7;
 
 /// A decoding (or parsing) failure. Every variant carries enough context
@@ -111,13 +86,15 @@ pub enum CodecError {
         /// Description of the violation.
         msg: String,
     },
-    /// The payload's `"v"` field names an unusable version (currently
-    /// only version 0; newer-than-current versions decode best-effort).
+    /// The payload's `"v"` field is older than [`CODEC_VERSION`] (newer
+    /// versions decode best-effort).
     UnsupportedVersion {
         /// Type being decoded.
         ty: &'static str,
         /// The version found.
         version: u64,
+        /// The oldest version this decoder accepts ([`CODEC_VERSION`]).
+        supported: u64,
     },
 }
 
@@ -134,8 +111,8 @@ impl std::fmt::Display for CodecError {
                 write!(f, "{ty}: field {field:?} is not a {expected}")
             }
             CodecError::Invalid { ty, msg } => write!(f, "{ty}: {msg}"),
-            CodecError::UnsupportedVersion { ty, version } => {
-                write!(f, "{ty}: unsupported codec version {version}")
+            CodecError::UnsupportedVersion { ty, version, supported } => {
+                write!(f, "{ty}: codec version {version} is older than the supported {supported}")
             }
         }
     }
@@ -428,13 +405,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are valid).
+                    // Copy the whole unescaped run up to the next quote or
+                    // backslash. Both are ASCII, so the run ends on a char
+                    // boundary and validating it costs its own length.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty checked above");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len =
+                        rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -629,21 +609,19 @@ pub fn scenario_to_json(sc: &Scenario) -> Json {
     obj(fields)
 }
 
-/// Decode a scenario from its JSON value form. Nested objects are
-/// versioned by the enclosing payload: the top-level `"v"` decides
-/// whether the release-time fields (added in v2) are required or default
-/// to their legacy values.
+/// Decode a scenario from its JSON value form (nested objects are
+/// versioned by the enclosing payload's `"v"`).
 pub fn scenario_from_json(json: &Json) -> Result<Scenario, CodecError> {
     let r = ObjReader::new("Scenario", json)?;
-    let v = check_version("Scenario", &r)?;
-    // Absent (v1/v2 payloads, or any single-site scenario) means the
-    // classic single-site path — never a required field.
+    check_version("Scenario", &r)?;
+    // Absent (any single-site scenario) means the classic single-site
+    // path — never a required field.
     let multisite = match r.get("multisite") {
         None | Some(Json::Null) => None,
         Some(ms) => Some(multisite_from_json(ms)?),
     };
-    // Absent (pre-v6 payloads, or any run-to-completion scenario) means
-    // the classic mode — never a required field.
+    // Absent (any run-to-completion scenario) means the classic mode —
+    // never a required field.
     let horizon = match r.get("horizon") {
         None | Some(Json::Null) => None,
         Some(h) => {
@@ -668,22 +646,23 @@ pub fn scenario_from_json(json: &Json) -> Result<Scenario, CodecError> {
     Ok(Scenario {
         name: r.str("name")?.to_string(),
         platform: platform_from_json(r.req("platform")?)?,
-        workload: workload_source_from_json(r.req("workload")?, v)?,
+        workload: workload_source_from_json(r.req("workload")?)?,
         cache: cache_spec_from_json(r.req("cache")?)?,
-        config: sim_config_from_json(r.req("config")?, v)?,
+        config: sim_config_from_json(r.req("config")?)?,
         multisite,
         horizon,
     })
 }
 
-/// Check a payload's `"v"` field: version 0 is rejected, newer versions
-/// decode best-effort (their extra fields are ignored).
-pub fn check_version(ty: &'static str, r: &ObjReader<'_>) -> Result<u64, CodecError> {
-    let v = r.u64("v")?;
-    if v == 0 {
-        return Err(CodecError::UnsupportedVersion { ty, version: v });
+/// Check a payload's `"v"` field against the [`CODEC_VERSION`] policy:
+/// older versions are rejected, newer ones decode best-effort (their
+/// extra fields are ignored).
+pub fn check_version(ty: &'static str, r: &ObjReader<'_>) -> Result<(), CodecError> {
+    let version = r.u64("v")?;
+    if version < CODEC_VERSION {
+        return Err(CodecError::UnsupportedVersion { ty, version, supported: CODEC_VERSION });
     }
-    Ok(v)
+    Ok(())
 }
 
 fn platform_to_json(p: &PlatformSpec) -> Json {
@@ -840,11 +819,11 @@ fn workload_source_to_json(src: &WorkloadSource) -> Json {
     }
 }
 
-fn workload_source_from_json(json: &Json, v: u64) -> Result<WorkloadSource, CodecError> {
+fn workload_source_from_json(json: &Json) -> Result<WorkloadSource, CodecError> {
     let r = ObjReader::new("WorkloadSource", json)?;
     match r.str("kind")? {
         "spec" => Ok(WorkloadSource::Spec {
-            spec: workload_spec_from_json(r.req("spec")?, v)?,
+            spec: workload_spec_from_json(r.req("spec")?)?,
             seed: r.u64("seed")?,
         }),
         "concrete" => {
@@ -870,10 +849,7 @@ fn workload_source_from_json(json: &Json, v: u64) -> Result<WorkloadSource, Code
                 }
                 let flops_per_byte = jr.f64("flops_per_byte")?;
                 let output_bytes = jr.f64("output_bytes")?;
-                // v1 payloads predate release times: absent means 0. From
-                // v2 on the field is required — a v2 writer that drops it
-                // is a structured error, not silent legacy behaviour.
-                let release = if v >= 2 { jr.f64("release")? } else { 0.0 };
+                let release = jr.f64("release")?;
                 if !(flops_per_byte.is_finite()
                     && flops_per_byte >= 0.0
                     && output_bytes.is_finite()
@@ -921,12 +897,9 @@ fn workload_spec_to_json(spec: &WorkloadSpec) -> Json {
     ])
 }
 
-fn workload_spec_from_json(json: &Json, v: u64) -> Result<WorkloadSpec, CodecError> {
+fn workload_spec_from_json(json: &Json) -> Result<WorkloadSpec, CodecError> {
     let r = ObjReader::new("WorkloadSpec", json)?;
-    // v1 payloads predate arrival processes: absent means Immediate.
-    // From v2 on the field is required.
-    let arrival =
-        if v >= 2 { arrival_from_json(r.req("arrival")?)? } else { ArrivalProcess::Immediate };
+    let arrival = arrival_from_json(r.req("arrival")?)?;
     Ok(WorkloadSpec {
         n_jobs: r.usize("n_jobs")?,
         files_per_job: r.usize("files_per_job")?,
@@ -1177,10 +1150,9 @@ fn wan_model_from_json(json: &Json) -> Result<WanModel, CodecError> {
     Ok(WanModel::FlowLevel(cfg))
 }
 
-/// Decode a [`SimConfig`] from its JSON value form. `v` is the enclosing
-/// payload's codec version (nested objects carry no `"v"` of their own):
-/// it decides whether the v2 `release_time_scale` field is required.
-pub fn sim_config_from_json(json: &Json, v: u64) -> Result<SimConfig, CodecError> {
+/// Decode a [`SimConfig`] from its JSON value form (nested objects carry
+/// no `"v"` of their own; the enclosing payload's is checked).
+pub fn sim_config_from_json(json: &Json) -> Result<SimConfig, CodecError> {
     let r = ObjReader::new("SimConfig", json)?;
     let h = ObjReader::new("HardwareParams", r.req("hardware")?)?;
     let hardware = simcal_platform::HardwareParams {
@@ -1224,29 +1196,14 @@ pub fn sim_config_from_json(json: &Json, v: u64) -> Result<SimConfig, CodecError
         ty: "SimConfig",
         msg: format!("unknown scheduler policy {label:?}"),
     })?;
-    // v1 payloads predate release-time scaling: absent means identity.
-    // From v2 on the field is required.
-    let release_time_scale = if v >= 2 { r.f64("release_time_scale")? } else { 1.0 };
+    let release_time_scale = r.f64("release_time_scale")?;
     if !(release_time_scale.is_finite() && release_time_scale >= 0.0) {
         return Err(CodecError::Invalid {
             ty: "SimConfig",
             msg: format!("bad release time scale {release_time_scale}"),
         });
     }
-    // v1–v6 payloads predate the bandwidth-model seam: absent means the
-    // scalar max–min WAN, the byte-identical historical behaviour. From v7
-    // on the field is required — but when present it is decoded whatever
-    // the payload's declared version, so re-stamped payloads keep their
-    // model (the field, not the version, is authoritative).
-    let wan_model = match r.get("wan_model") {
-        Some(json) => wan_model_from_json(json)?,
-        None => {
-            if v >= 7 {
-                r.req("wan_model")?;
-            }
-            WanModel::MaxMin
-        }
-    };
+    let wan_model = wan_model_from_json(r.req("wan_model")?)?;
     Ok(SimConfig {
         hardware,
         granularity: simcal_storage::XRootDConfig::new(block_size, buffer_size),
@@ -1259,21 +1216,18 @@ pub fn sim_config_from_json(json: &Json, v: u64) -> Result<SimConfig, CodecError
     })
 }
 
-// ---- sweep protocol envelope (codec v4/v5) --------------------------------
+// ---- sweep protocol envelope ----------------------------------------------
 
-/// One message of the TCP sweep protocol (codec v5; v4 messages decode).
+/// One message of the TCP sweep protocol.
 ///
 /// The coordinator listens, workers dial in, and every exchange is one of
-/// these envelopes. Since v5 the conversation per connection is
-/// **windowed**: the worker opens with `Hello` (advertising its
-/// capabilities), then pipelines `ClaimN { max, holding }` →
-/// (`TaskBatch` | `Drain`) while streaming `Result`s back as tasks
-/// finish, with `Heartbeat`s interleaved from a side thread. The
-/// `holding` list names every task the worker has claimed but not yet
-/// resulted — TCP ordering makes it a loss detector (see `study::net`).
-/// A v4 peer speaks the lock-step special case: `Claim` is exactly
-/// `ClaimN { max: 1, holding: [] }` and a single `Task` is a one-element
-/// batch. `Drain` from the coordinator means "queue is empty, finish up";
+/// these envelopes. The conversation per connection is **windowed**: the
+/// worker opens with `Hello` (advertising its thread count), then
+/// pipelines `ClaimN { max, holding }` → (`TaskBatch` | `Drain`) while
+/// streaming `Result`s back as tasks finish, with `Heartbeat`s
+/// interleaved from a side thread. The `holding` list names every task
+/// the worker has claimed but not yet resulted — TCP ordering makes it a
+/// loss detector (see `study::net`). `Drain` from the coordinator means "queue is empty, finish up";
 /// the worker answers `Bye` and disconnects. A worker may also *send*
 /// `Drain` to announce a graceful leave after its in-flight tasks.
 ///
@@ -1282,23 +1236,19 @@ pub fn sim_config_from_json(json: &Json, v: u64) -> Result<SimConfig, CodecError
 /// (HMAC-SHA256 of the nonce under the token). A failed or missing proof
 /// earns a structured `Reject { reason }` before the close.
 ///
-/// `Task`, `TaskBatch` and `Result` embed their payloads as raw [`Json`]
+/// `TaskBatch` and `Result` embed their payloads as raw [`Json`]
 /// values (the scenario / sweep-result forms already defined by this
 /// codec) so the envelope adds no second serialization layer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireMsg {
-    /// Worker introduction: a display name for the coordinator's summary
-    /// plus a capability advertisement for window sizing.
+    /// Worker introduction: a display name and thread count for the
+    /// coordinator's summary.
     Hello {
         /// Worker's self-chosen name (e.g. `"pid-1234/t0"`).
         worker: String,
-        /// Worker threads behind this connection's process (0 when the
-        /// peer predates v5 and advertises nothing).
+        /// Worker threads behind this connection's process.
         threads: u64,
     },
-    /// Worker asks for the next task (v4 lock-step form; equivalent to
-    /// `ClaimN { max: 1, holding: [] }`).
-    Claim,
     /// Worker asks for up to `max` more tasks and reports which claimed
     /// task indices it is still holding results for.
     ClaimN {
@@ -1309,18 +1259,11 @@ pub enum WireMsg {
         /// outstanding index missing from this list).
         holding: Vec<u64>,
     },
-    /// Coordinator hands out task `index` with its scenario payload
-    /// (v4 lock-step form; equivalent to a one-element `TaskBatch`).
-    Task {
-        /// Spool task index (the `task-{index:05}` file).
-        index: u64,
-        /// The scenario, in its [`scenario_to_json`] form.
-        scenario: Json,
-    },
     /// Coordinator hands out a window of tasks (possibly empty: "nothing
     /// right now, back off and re-claim").
     TaskBatch {
-        /// `(index, scenario)` pairs, one per granted task.
+        /// `(index, scenario)` pairs, one per granted task: the spool task
+        /// index and the scenario in its [`scenario_to_json`] form.
         tasks: Vec<(u64, Json)>,
     },
     /// Coordinator demands proof of the shared secret before serving.
@@ -1366,9 +1309,7 @@ impl WireMsg {
     pub fn kind(&self) -> &'static str {
         match self {
             WireMsg::Hello { .. } => "hello",
-            WireMsg::Claim => "claim",
             WireMsg::ClaimN { .. } => "claim-n",
-            WireMsg::Task { .. } => "task",
             WireMsg::TaskBatch { .. } => "task-batch",
             WireMsg::AuthChallenge { .. } => "auth-challenge",
             WireMsg::AuthProof { .. } => "auth-proof",
@@ -1390,14 +1331,10 @@ pub fn msg_to_json(msg: &WireMsg) -> Json {
             fields.push(("worker", Json::Str(worker.clone())));
             fields.push(("threads", json_u64(*threads)));
         }
-        WireMsg::Claim | WireMsg::Drain | WireMsg::Bye => {}
+        WireMsg::Drain | WireMsg::Bye => {}
         WireMsg::ClaimN { max, holding } => {
             fields.push(("max", json_u64(*max)));
             fields.push(("holding", Json::Arr(holding.iter().copied().map(json_u64).collect())));
-        }
-        WireMsg::Task { index, scenario } => {
-            fields.push(("index", json_u64(*index)));
-            fields.push(("scenario", scenario.clone()));
         }
         WireMsg::TaskBatch { tasks } => {
             let items = tasks
@@ -1429,18 +1366,8 @@ pub fn msg_from_json(json: &Json) -> Result<WireMsg, CodecError> {
     check_version("WireMsg", &r)?;
     match r.str("type")? {
         "hello" => {
-            // v4 Hellos predate `threads`: absent = unadvertised.
-            let threads = match r.get("threads") {
-                None | Some(Json::Null) => 0,
-                Some(v) => json_to_u64(v).ok_or(CodecError::WrongType {
-                    ty: "WireMsg",
-                    field: "threads",
-                    expected: "u64",
-                })?,
-            };
-            Ok(WireMsg::Hello { worker: r.str("worker")?.to_string(), threads })
+            Ok(WireMsg::Hello { worker: r.str("worker")?.to_string(), threads: r.u64("threads")? })
         }
-        "claim" => Ok(WireMsg::Claim),
         "claim-n" => {
             let holding = r
                 .arr("holding")?
@@ -1454,9 +1381,6 @@ pub fn msg_from_json(json: &Json) -> Result<WireMsg, CodecError> {
                 })
                 .collect::<Result<Vec<u64>, CodecError>>()?;
             Ok(WireMsg::ClaimN { max: r.u64("max")?, holding })
-        }
-        "task" => {
-            Ok(WireMsg::Task { index: r.u64("index")?, scenario: r.req("scenario")?.clone() })
         }
         "task-batch" => {
             let tasks = r
@@ -1594,19 +1518,11 @@ pub fn encode_result_msg(index: u64, sum: u64, payload: &str) -> String {
     )
 }
 
-/// Encode a `Task` message around an **already-serialized** scenario,
-/// byte-identical to `encode_msg(&WireMsg::Task { .. })` with the parsed
-/// equivalent. The grant-side twin of [`encode_result_msg`]: a
+/// Encode a `TaskBatch` message around **already-serialized** scenarios,
+/// byte-identical to `encode_msg(&WireMsg::TaskBatch { .. })` with the
+/// parsed equivalents. The grant-side twin of [`encode_result_msg`]: a
 /// coordinator forwarding spool records verbatim never re-serializes the
-/// scenario it just read.
-pub fn encode_task_msg(index: u64, scenario: &str) -> String {
-    format!(
-        "{{\"v\":{CODEC_VERSION},\"type\":\"task\",\"index\":\"{index}\",\"scenario\":{scenario}}}"
-    )
-}
-
-/// [`encode_task_msg`] for a whole batch, byte-identical to
-/// `encode_msg(&WireMsg::TaskBatch { .. })`.
+/// scenarios it just read.
 pub fn encode_task_batch_msg(tasks: &[(u64, String)]) -> String {
     use std::fmt::Write as _;
     let mut out = format!("{{\"v\":{CODEC_VERSION},\"type\":\"task-batch\",\"tasks\":[");
@@ -1729,6 +1645,38 @@ mod tests {
     }
 
     #[test]
+    fn decode_cost_is_linear_in_payload_size() {
+        // A same-run ratio, so it holds on any machine: a task batch 32
+        // times larger must decode in at most 4x the linear share of the
+        // time, 128x (a parser that re-scans the rest of the input per
+        // string character reads over 300x here). Best of seven rounds
+        // damps scheduler noise.
+        let sc = scenario_to_json(&ScenarioRegistry::reduced().scenarios().remove(0));
+        let batch = |n: u64| {
+            encode_msg(&WireMsg::TaskBatch { tasks: (0..n).map(|i| (i, sc.clone())).collect() })
+        };
+        let (small, large) = (batch(5), batch(160));
+        let scale = large.len() as f64 / small.len() as f64;
+        assert!((30.0..=33.0).contains(&scale), "payloads {scale:.1}x apart");
+        let best = |text: &str| {
+            (0..7)
+                .map(|_| {
+                    let t0 = std::time::Instant::now();
+                    decode_msg(text).expect("decode");
+                    t0.elapsed()
+                })
+                .min()
+                .expect("seven rounds")
+        };
+        let (t_small, t_large) = (best(&small), best(&large));
+        let ratio = t_large.as_secs_f64() / t_small.as_secs_f64();
+        assert!(
+            ratio <= 4.0 * scale,
+            "{scale:.1}x payload took {ratio:.1}x the time ({t_large:?} vs {t_small:?})"
+        );
+    }
+
+    #[test]
     fn floats_round_trip_bit_exactly() {
         for v in [0.0, -0.0, 1.5, 427e6, 1e-300, f64::MIN_POSITIVE, 0.1 + 0.2] {
             let enc = json_f64(v).write();
@@ -1783,32 +1731,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn v6_payloads_without_wan_model_decode_to_maxmin() {
-        // Strip the v7 field and drop the version back to 6: the decoder
-        // must fall back to the scalar max–min model — the byte-identical
-        // historical behaviour — even if the scenario carried flow-level.
-        let mut sc = ScenarioRegistry::reduced().scenarios().remove(0);
-        sc.config.wan_model = WanModel::FlowLevel(crate::config::FlowLevelCfg::default());
-        let mut json = scenario_to_json(&sc);
-        fn strip(json: &mut Json) {
-            if let Some(fields) = json.fields_mut() {
-                fields.retain(|(k, _)| k != "wan_model");
-                for (k, v) in fields.iter_mut() {
-                    if k == "v" {
-                        *v = Json::Num(6.0);
-                    }
-                    strip(v);
-                }
-            }
-        }
-        strip(&mut json);
-        let back = scenario_from_json(&json).expect("v6 decode");
-        assert_eq!(back.config.wan_model, WanModel::MaxMin);
-        sc.config.wan_model = WanModel::MaxMin;
-        assert_eq!(back, sc);
     }
 
     #[test]
@@ -1868,50 +1790,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_payloads_without_release_fields_decode_to_legacy_defaults() {
-        // Strip every v2 field from an encoded scenario (producing a v1-
-        // shaped payload) and decode: arrival must come back Immediate,
-        // release times 0, and the release scale 1.0.
-        fn strip(json: &mut Json) {
-            match json {
-                Json::Obj(fields) => {
-                    fields.retain(|(k, _)| {
-                        k != "arrival" && k != "release" && k != "release_time_scale"
-                    });
-                    for (k, v) in fields.iter_mut() {
-                        if k == "v" {
-                            *v = Json::Num(1.0);
-                        }
-                        strip(v);
-                    }
-                }
-                Json::Arr(items) => items.iter_mut().for_each(strip),
-                _ => {}
-            }
-        }
-        // A spec-sourced scenario...
-        let sc = ScenarioRegistry::reduced().scenarios().remove(0);
-        let mut json = scenario_to_json(&sc);
-        strip(&mut json);
-        let back = scenario_from_json(&json).unwrap();
-        assert_eq!(back, sc, "legacy payload decodes to the legacy scenario");
-        // ...and a concrete-workload one.
-        let w = Arc::new(WorkloadSpec::constant(3, 2, 1e6, 6.0, 1e5).generate(1));
-        let concrete = Scenario {
-            name: "concrete".into(),
-            platform: simcal_platform::catalog::scsn(),
-            workload: WorkloadSource::Concrete(w),
-            cache: CacheSpec::seeded(0.25, 99),
-            config: SimConfig::default(),
-            multisite: None,
-            horizon: None,
-        };
-        let mut json = scenario_to_json(&concrete);
-        strip(&mut json);
-        assert_eq!(scenario_from_json(&json).unwrap(), concrete);
-    }
-
-    #[test]
     fn malformed_arrival_parameters_are_structured_errors() {
         // Bad parameters must fail at the codec boundary, not as an
         // assert panic when a worker materializes the workload.
@@ -1952,13 +1830,12 @@ mod tests {
     }
 
     #[test]
-    fn v2_payloads_require_the_release_fields() {
-        // The legacy defaults are a v1 courtesy, not a permanent optional:
-        // a v2 writer that drops a release field produced a broken
-        // payload, and decoding reports it instead of silently assuming
-        // "no queueing".
+    fn payloads_require_the_release_fields_and_the_wan_model() {
+        // A writer that drops one of these produced a broken payload, and
+        // decoding reports it instead of silently assuming "no queueing"
+        // or "max–min WAN".
         let sc = ScenarioRegistry::reduced().scenarios().remove(0);
-        for field in ["arrival", "release_time_scale"] {
+        for field in ["arrival", "release_time_scale", "wan_model"] {
             let mut json = scenario_to_json(&sc);
             fn drop_field(json: &mut Json, field: &str) {
                 if let Json::Obj(fields) = json {
@@ -1974,7 +1851,7 @@ mod tests {
                     scenario_from_json(&json),
                     Err(CodecError::MissingField { field: f, .. }) if f == field
                 ),
-                "dropping {field:?} from a v2 payload must be a MissingField error"
+                "dropping {field:?} must be a MissingField error"
             );
         }
     }
@@ -2057,18 +1934,12 @@ mod tests {
 
     #[test]
     fn payloads_without_multisite_decode_to_single_site() {
-        // The v3 field is optional at every version: v2 payloads (and v3
-        // single-site ones) decode to multisite = None, and an explicit
-        // null means the same thing.
+        // The field is optional: single-site payloads omit it and decode
+        // to multisite = None, and an explicit null means the same thing.
         let sc = ScenarioRegistry::reduced().scenarios().remove(0);
         assert_eq!(sc.multisite, None);
         let mut json = scenario_to_json(&sc);
         assert!(json.field("multisite").is_none(), "None is omitted, not encoded");
-        for (k, v) in json.fields_mut().unwrap().iter_mut() {
-            if k == "v" {
-                *v = Json::Num(2.0);
-            }
-        }
         assert_eq!(scenario_from_json(&json).unwrap(), sc);
         json.fields_mut().unwrap().push(("multisite".to_string(), Json::Null));
         assert_eq!(scenario_from_json(&json).unwrap(), sc);
@@ -2109,25 +1980,10 @@ mod tests {
     }
 
     #[test]
-    fn version_zero_is_rejected() {
-        let sc = ScenarioRegistry::reduced().scenarios().remove(0);
-        let mut json = scenario_to_json(&sc);
-        for (k, v) in json.fields_mut().unwrap().iter_mut() {
-            if k == "v" {
-                *v = Json::Num(0.0);
-            }
-        }
-        assert_eq!(
-            scenario_from_json(&json),
-            Err(CodecError::UnsupportedVersion { ty: "Scenario", version: 0 })
-        );
-    }
-
-    #[test]
     fn decoding_garbage_reports_not_panics() {
         assert!(decode_scenario("not json").is_err());
         assert!(decode_scenario("[]").is_err());
-        assert!(decode_scenario("{\"v\":1}").is_err());
+        assert!(decode_scenario("{\"v\":7}").is_err());
         // A structurally-valid payload with a semantically bad value.
         let sc = ScenarioRegistry::reduced().scenarios().remove(0);
         let text = encode_scenario(&sc).replace("\"first-free\"", "\"no-such-policy\"");
@@ -2138,10 +1994,8 @@ mod tests {
         let sc = ScenarioRegistry::reduced().scenarios().remove(0);
         vec![
             WireMsg::Hello { worker: "pid-42/t1".into(), threads: 4 },
-            WireMsg::Claim,
             WireMsg::ClaimN { max: 8, holding: vec![3, 11, u64::MAX] },
             WireMsg::ClaimN { max: 1, holding: vec![] },
-            WireMsg::Task { index: 3, scenario: scenario_to_json(&sc) },
             WireMsg::TaskBatch {
                 tasks: vec![(3, scenario_to_json(&sc)), (4, scenario_to_json(&sc))],
             },
@@ -2192,10 +2046,6 @@ mod tests {
         ]);
         let b = Json::Str("degenerate \"scenario\"\n".into());
         assert_eq!(
-            encode_task_msg(3, &a.write()),
-            encode_msg(&WireMsg::Task { index: 3, scenario: a.clone() })
-        );
-        assert_eq!(
             encode_task_batch_msg(&[(0, a.write()), (u64::MAX, b.write())]),
             encode_msg(&WireMsg::TaskBatch { tasks: vec![(0, a.clone()), (u64::MAX, b)] })
         );
@@ -2208,10 +2058,10 @@ mod tests {
     #[test]
     fn task_envelopes_carry_decodable_scenarios() {
         let sc = ScenarioRegistry::reduced().scenarios().remove(0);
-        let msg = WireMsg::Task { index: 0, scenario: scenario_to_json(&sc) };
+        let msg = WireMsg::TaskBatch { tasks: vec![(0, scenario_to_json(&sc))] };
         match decode_msg(&encode_msg(&msg)).unwrap() {
-            WireMsg::Task { scenario, .. } => {
-                assert_eq!(scenario_from_json(&scenario).unwrap(), sc);
+            WireMsg::TaskBatch { tasks } => {
+                assert_eq!(scenario_from_json(&tasks[0].1).unwrap(), sc);
             }
             other => panic!("decoded {other:?}"),
         }
@@ -2221,31 +2071,39 @@ mod tests {
     fn malformed_protocol_messages_are_structured_errors() {
         assert!(matches!(decode_msg("not json"), Err(CodecError::Parse { .. })));
         assert!(matches!(
-            decode_msg("{\"v\":4}"),
+            decode_msg("{\"v\":7}"),
             Err(CodecError::MissingField { ty: "WireMsg", field: "type" })
         ));
         assert!(matches!(
-            decode_msg("{\"v\":4,\"type\":\"warp\"}"),
+            decode_msg("{\"v\":7,\"type\":\"warp\"}"),
             Err(CodecError::Invalid { ty: "WireMsg", .. })
         ));
         assert!(matches!(
-            decode_msg("{\"v\":0,\"type\":\"claim\"}"),
-            Err(CodecError::UnsupportedVersion { ty: "WireMsg", version: 0 })
+            decode_msg("{\"v\":0,\"type\":\"claim-n\"}"),
+            Err(CodecError::UnsupportedVersion { ty: "WireMsg", version: 0, .. })
         ));
         assert!(matches!(
-            decode_msg("{\"v\":4,\"type\":\"task\",\"index\":\"1\"}"),
+            decode_msg("{\"v\":7,\"type\":\"task-batch\",\"tasks\":[{\"index\":\"1\"}]}"),
             Err(CodecError::MissingField { ty: "WireMsg", field: "scenario" })
         ));
     }
 
     #[test]
-    fn v4_envelopes_decode_as_the_lock_step_special_case() {
-        // A v4 worker's Hello has no capability fields: they decode to 0
-        // (unadvertised), and its bare Claim still decodes — the v5
-        // coordinator treats it as ClaimN { max: 1, holding: [] }.
-        let hello = decode_msg(r#"{"v":4,"type":"hello","worker":"legacy"}"#).unwrap();
-        assert_eq!(hello, WireMsg::Hello { worker: "legacy".into(), threads: 0 });
-        assert_eq!(decode_msg(r#"{"v":4,"type":"claim"}"#).unwrap(), WireMsg::Claim);
+    fn v4_lock_step_envelopes_are_errors() {
+        // The lock-step `claim`/`task` types are unknown at the current
+        // version (a v4 envelope fails the version check before that),
+        // and a Hello must advertise its threads.
+        for kind in ["claim", "task"] {
+            let text = format!(r#"{{"v":7,"type":"{kind}","index":"1","scenario":{{}}}}"#);
+            assert!(
+                matches!(decode_msg(&text), Err(CodecError::Invalid { ty: "WireMsg", .. })),
+                "{kind}"
+            );
+        }
+        assert_eq!(
+            decode_msg(r#"{"v":7,"type":"hello","worker":"w"}"#),
+            Err(CodecError::MissingField { ty: "WireMsg", field: "threads" })
+        );
     }
 
     #[test]
@@ -2260,17 +2118,17 @@ mod tests {
     }
 
     #[test]
-    fn hostile_v5_envelopes_are_structured_errors() {
+    fn hostile_envelopes_are_structured_errors() {
         // claim-n with a non-numeric holding entry, task-batch with a
         // malformed element, and missing required fields: never a panic.
         for text in [
-            r#"{"v":5,"type":"claim-n","max":"2","holding":["1","x"]}"#,
-            r#"{"v":5,"type":"claim-n","holding":[]}"#,
-            r#"{"v":5,"type":"task-batch","tasks":[{"index":"1"}]}"#,
-            r#"{"v":5,"type":"task-batch","tasks":"nope"}"#,
-            r#"{"v":5,"type":"auth-challenge"}"#,
-            r#"{"v":5,"type":"auth-proof","mac":7}"#,
-            r#"{"v":5,"type":"reject"}"#,
+            r#"{"v":7,"type":"claim-n","max":"2","holding":["1","x"]}"#,
+            r#"{"v":7,"type":"claim-n","holding":[]}"#,
+            r#"{"v":7,"type":"task-batch","tasks":[{"index":"1"}]}"#,
+            r#"{"v":7,"type":"task-batch","tasks":"nope"}"#,
+            r#"{"v":7,"type":"auth-challenge"}"#,
+            r#"{"v":7,"type":"auth-proof","mac":7}"#,
+            r#"{"v":7,"type":"reject"}"#,
         ] {
             assert!(decode_msg(text).is_err(), "{text} decoded");
         }
@@ -2323,7 +2181,7 @@ mod tests {
     fn garbage_frame_bodies_are_codec_errors() {
         // Valid framing around an invalid body (bad UTF-8, bad JSON, or a
         // non-protocol object) is a structured Codec error.
-        for body in [&b"\xff\xfe"[..], b"not json", b"{\"v\":4,\"type\":\"nope\"}", b"[]"] {
+        for body in [&b"\xff\xfe"[..], b"not json", b"{\"v\":7,\"type\":\"nope\"}", b"[]"] {
             let mut buf = Vec::from((body.len() as u32).to_be_bytes());
             buf.extend_from_slice(body);
             let mut cursor = std::io::Cursor::new(buf);

@@ -1,5 +1,4 @@
-//! Capped exponential backoff with seeded jitter, and the adaptive claim
-//! window controller for the TCP transport.
+//! Capped exponential backoff with seeded jitter.
 //!
 //! Every polling and retry loop in the distributed sweep machinery —
 //! the coordinator's settle loop, the TCP worker's reconnect dialer, the
@@ -8,11 +7,6 @@
 //! uniform jitter in `[0.5, 1.0)`, so colliding workers decorrelate, and
 //! the jitter stream is seeded so tests (and fault-injection schedules)
 //! replay bit-identically.
-//!
-//! [`ClaimWindow`] lives here because it is the same kind of creature: a
-//! small, deterministic control loop the transport consults between
-//! frames. It sizes the per-connection task handout window from observed
-//! claim→result latency vs per-task duration.
 
 use std::time::Duration;
 
@@ -70,123 +64,6 @@ impl Backoff {
     }
 }
 
-/// Hard ceiling on any claim window, fixed or adaptive. Far above the
-/// point of diminishing returns for pipelining, far below anything that
-/// would hurt fleet load balance catastrophically.
-pub const MAX_CLAIM_WINDOW: usize = 256;
-
-/// Adaptive (or pinned) task-handout window for one TCP connection.
-///
-/// The controller is TCP-slow-start shaped. The window starts at 1 (the
-/// lock-step protocol) and doubles each time a full window's worth of
-/// results has been accepted, up to a cap. Any requeue on the connection
-/// (a lost result, a corrupt frame) halves it. The cap starts from the
-/// worker's advertised capabilities and, once latency measurements
-/// exist, tracks `2·net_rtt/task + 1`: enough outstanding work to cover
-/// two claim round trips, so the pipe never drains between grants. Both
-/// signals are EWMAs — `net_rtt` is the claim→first-grant-result latency
-/// minus one task's compute, `task` the spacing between results arriving
-/// while the connection provably had queued work. Long calibration tasks
-/// drive the cap to 1 and the protocol degrades gracefully to lock-step;
-/// sub-millisecond sweep tasks over a real network drive it toward
-/// [`MAX_CLAIM_WINDOW`].
-#[derive(Debug)]
-pub struct ClaimWindow {
-    fixed: Option<usize>,
-    window: usize,
-    cap: usize,
-    accepted_since_growth: usize,
-    ewma_rtt: Option<f64>,
-    ewma_task: Option<f64>,
-    rtt_count: u64,
-    rtt_total: f64,
-}
-
-/// EWMA smoothing factor for both latency signals.
-const EWMA_ALPHA: f64 = 0.3;
-
-impl ClaimWindow {
-    /// An adaptive window starting at 1 with an initial cap of
-    /// `start_cap` (from the worker's advertised capabilities; clamped
-    /// to `1..=`[`MAX_CLAIM_WINDOW`]).
-    pub fn auto(start_cap: usize) -> Self {
-        Self {
-            fixed: None,
-            window: 1,
-            cap: start_cap.clamp(1, MAX_CLAIM_WINDOW),
-            accepted_since_growth: 0,
-            ewma_rtt: None,
-            ewma_task: None,
-            rtt_count: 0,
-            rtt_total: 0.0,
-        }
-    }
-
-    /// A window pinned to `n` (clamped to `1..=`[`MAX_CLAIM_WINDOW`]):
-    /// no growth, no shrink. `fixed(1)` is exactly the v4 lock-step
-    /// protocol.
-    pub fn fixed(n: usize) -> Self {
-        let n = n.clamp(1, MAX_CLAIM_WINDOW);
-        Self { fixed: Some(n), ..Self::auto(n) }
-    }
-
-    /// The current window: how many tasks may be outstanding at once.
-    pub fn window(&self) -> usize {
-        self.fixed.unwrap_or(self.window)
-    }
-
-    /// Record one accepted result. `claim_rtt` is the grant→result
-    /// latency when this task was the *head* of its grant (batch
-    /// siblings queue behind the head, so timing them would measure the
-    /// window itself, not the network; pass `None` for them).
-    /// `task_time` is the spacing since the previous result, when the
-    /// connection verifiably had work queued the whole interval (pass
-    /// `None` otherwise — idle gaps would poison the estimate).
-    pub fn on_result(&mut self, claim_rtt: Option<Duration>, task_time: Option<Duration>) {
-        let mix = |slot: &mut Option<f64>, sample: f64| {
-            *slot = Some(slot.map_or(sample, |prev| prev + EWMA_ALPHA * (sample - prev)));
-        };
-        if let Some(rtt) = claim_rtt {
-            mix(&mut self.ewma_rtt, rtt.as_secs_f64());
-            self.rtt_count += 1;
-            self.rtt_total += rtt.as_secs_f64();
-        }
-        if let Some(t) = task_time {
-            mix(&mut self.ewma_task, t.as_secs_f64().max(1e-9));
-        }
-        if self.fixed.is_some() {
-            return;
-        }
-        if let (Some(rtt), Some(task)) = (self.ewma_rtt, self.ewma_task) {
-            // The measured RTT includes computing the task itself; the
-            // network share is what pipelining can hide.
-            let net = (rtt - task).max(0.0);
-            self.cap = ((2.0 * net / task).ceil() as usize + 1).clamp(1, MAX_CLAIM_WINDOW);
-        }
-        self.window = self.window.min(self.cap);
-        self.accepted_since_growth += 1;
-        if self.accepted_since_growth >= self.window {
-            self.accepted_since_growth = 0;
-            self.window = (self.window * 2).min(self.cap);
-        }
-    }
-
-    /// A task granted on this connection had to be requeued: halve the
-    /// window (floor 1).
-    pub fn on_requeue(&mut self) {
-        if self.fixed.is_none() {
-            self.window = (self.window / 2).max(1);
-            self.accepted_since_growth = 0;
-        }
-    }
-
-    /// Mean claim→result latency over the connection's lifetime, in
-    /// whole microseconds (`None` before the first result).
-    pub fn mean_rtt_us(&self) -> Option<u64> {
-        (self.rtt_count > 0).then(|| (self.rtt_total / self.rtt_count as f64 * 1e6).round() as u64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,98 +117,5 @@ mod tests {
             let d = b.next_delay();
             assert!(d <= Duration::from_secs(30));
         }
-    }
-
-    const MS: Duration = Duration::from_millis(1);
-
-    #[test]
-    fn window_slow_starts_from_one_and_doubles() {
-        let mut w = ClaimWindow::auto(64);
-        assert_eq!(w.window(), 1);
-        // Cheap tasks behind a fat RTT: cap goes high, growth is 1→2→4→8.
-        let feed = |w: &mut ClaimWindow, n: usize| {
-            for _ in 0..n {
-                w.on_result(Some(10 * MS), Some(MS));
-            }
-        };
-        feed(&mut w, 1);
-        assert_eq!(w.window(), 2);
-        feed(&mut w, 2);
-        assert_eq!(w.window(), 4);
-        feed(&mut w, 4);
-        assert_eq!(w.window(), 8);
-    }
-
-    #[test]
-    fn long_tasks_degrade_the_window_to_lock_step() {
-        let mut w = ClaimWindow::auto(64);
-        // Tasks dominate the RTT: net latency ~0, cap collapses to 1.
-        for _ in 0..16 {
-            w.on_result(Some(1000 * MS), Some(1000 * MS));
-        }
-        assert_eq!(w.window(), 1);
-        // A sliver of net latency still pays for one pipelined task,
-        // never more.
-        for _ in 0..16 {
-            w.on_result(Some(1001 * MS), Some(1000 * MS));
-        }
-        assert!(w.window() <= 2, "window {} for a 0.1% net share", w.window());
-    }
-
-    #[test]
-    fn requeues_halve_the_window() {
-        let mut w = ClaimWindow::auto(64);
-        for _ in 0..15 {
-            w.on_result(Some(10 * MS), Some(MS));
-        }
-        let before = w.window();
-        assert!(before >= 8, "window only reached {before}");
-        w.on_requeue();
-        assert_eq!(w.window(), before / 2);
-        w.on_requeue();
-        w.on_requeue();
-        w.on_requeue();
-        w.on_requeue();
-        assert_eq!(w.window(), 1, "floor is 1, not 0");
-    }
-
-    #[test]
-    fn fixed_windows_never_adapt() {
-        let mut w = ClaimWindow::fixed(3);
-        assert_eq!(w.window(), 3);
-        for _ in 0..32 {
-            w.on_result(Some(10 * MS), Some(MS));
-        }
-        assert_eq!(w.window(), 3);
-        w.on_requeue();
-        assert_eq!(w.window(), 3);
-        // Still measures: observability does not depend on adaptivity.
-        assert!(w.mean_rtt_us().is_some());
-        assert_eq!(ClaimWindow::fixed(0).window(), 1);
-        assert_eq!(ClaimWindow::fixed(100_000).window(), MAX_CLAIM_WINDOW);
-    }
-
-    #[test]
-    fn mean_rtt_is_the_lifetime_average_in_micros() {
-        let mut w = ClaimWindow::auto(8);
-        assert_eq!(w.mean_rtt_us(), None);
-        w.on_result(Some(2 * MS), None);
-        // A non-head result carries no RTT sample and must not skew the
-        // mean.
-        w.on_result(None, Some(MS));
-        w.on_result(Some(4 * MS), None);
-        assert_eq!(w.mean_rtt_us(), Some(3_000));
-    }
-
-    #[test]
-    fn the_cap_never_leaves_its_clamp() {
-        let mut w = ClaimWindow::auto(usize::MAX);
-        // Absurdly fat RTT over near-zero tasks: cap must clamp at the
-        // ceiling, not overflow.
-        for _ in 0..1_000 {
-            w.on_result(Some(Duration::from_secs(10)), Some(Duration::from_nanos(1)));
-        }
-        assert!(w.window() <= MAX_CLAIM_WINDOW);
-        assert_eq!(w.window(), MAX_CLAIM_WINDOW);
     }
 }

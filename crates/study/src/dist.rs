@@ -12,10 +12,10 @@
 //!
 //! ```text
 //! spool/
-//!   manifest.json          {"v":1,"names":[...]}      written last
-//!   tasks/task-00007.json  {"v":1,"index":7,"scenario":{...}}
+//!   manifest.json          {"v":7,"names":[...]}      written last
+//!   tasks/task-00007.json  {"v":7,"index":7,"scenario":{...}}
 //!   claimed/task-00007.json  a task some worker owns
-//!   results/result-00007.json {"v":1,"index":7,"sum":"<fnv>","result":{...}}
+//!   results/result-00007.json {"v":7,"index":7,"sum":"<fnv>","result":{...}}
 //! ```
 //!
 //! A worker claims `tasks/task-N.json` by renaming it into `claimed/`.
@@ -195,60 +195,32 @@ pub(crate) fn sweep_result_to_json(r: &SweepResult) -> Json {
 
 pub(crate) fn sweep_result_from_json(json: &Json) -> Result<SweepResult, CodecError> {
     let r = ObjReader::new("SweepResult", json)?;
-    let v = check_version("SweepResult", &r)?;
+    check_version("SweepResult", &r)?;
     let hash_text = r.str("trace_hash")?;
     let trace_hash = u64::from_str_radix(hash_text, 16).map_err(|_| CodecError::Invalid {
         ty: "SweepResult",
         msg: format!("bad trace hash {hash_text:?}"),
     })?;
-    // The queue-wait columns arrived with codec v2; v1 results (written
-    // before jobs had release times) decode as wait-free. From v2 on the
-    // fields are required — a truncated payload is a structured error.
-    let wait = |field: &'static str| -> Result<f64, CodecError> {
-        if v >= 2 {
-            r.f64(field)
-        } else {
-            Ok(0.0)
-        }
-    };
-    // Percentile/SLO metrics and event-queue counters arrived with codec
-    // v6 (steady-state horizon runs). Older payloads decode with the same
-    // defaults `parse_sweep_csv` uses for v2 CSV rows: zero waits,
-    // unit slowdowns, vacuously-attained SLO, zero counters.
-    let v6_f64 = |field: &'static str, default: f64| -> Result<f64, CodecError> {
-        if v >= 6 {
-            r.f64(field)
-        } else {
-            Ok(default)
-        }
-    };
-    let v6_u64 = |field: &'static str| -> Result<u64, CodecError> {
-        if v >= 6 {
-            r.u64(field)
-        } else {
-            Ok(0)
-        }
-    };
     Ok(SweepResult {
         name: r.str("name")?.to_string(),
         makespan: r.f64("makespan")?,
         mean_job_time: r.f64("mean_job_time")?,
-        mean_queue_wait: wait("mean_queue_wait")?,
-        max_queue_wait: wait("max_queue_wait")?,
+        mean_queue_wait: r.f64("mean_queue_wait")?,
+        max_queue_wait: r.f64("max_queue_wait")?,
         node_means: r.f64_arr("node_means")?,
         node_stds: r.f64_arr("node_stds")?,
         events: r.u64("events")?,
         trace_hash,
         wall_seconds: r.f64("wall_seconds")?,
-        wait_p50: v6_f64("wait_p50", 0.0)?,
-        wait_p99: v6_f64("wait_p99", 0.0)?,
-        wait_p999: v6_f64("wait_p999", 0.0)?,
-        slowdown_p50: v6_f64("slowdown_p50", 1.0)?,
-        slowdown_p99: v6_f64("slowdown_p99", 1.0)?,
-        slowdown_p999: v6_f64("slowdown_p999", 1.0)?,
-        slo_attained: v6_f64("slo_attained", 1.0)?,
-        event_pushes: v6_u64("event_pushes")?,
-        event_stale_drops: v6_u64("event_stale_drops")?,
+        wait_p50: r.f64("wait_p50")?,
+        wait_p99: r.f64("wait_p99")?,
+        wait_p999: r.f64("wait_p999")?,
+        slowdown_p50: r.f64("slowdown_p50")?,
+        slowdown_p99: r.f64("slowdown_p99")?,
+        slowdown_p999: r.f64("slowdown_p999")?,
+        slo_attained: r.f64("slo_attained")?,
+        event_pushes: r.u64("event_pushes")?,
+        event_stale_drops: r.u64("event_stale_drops")?,
     })
 }
 
@@ -1199,48 +1171,39 @@ mod tests {
     }
 
     #[test]
-    fn pre_v6_sweep_result_payloads_decode_with_defaults() {
-        // A v5-shaped payload (no percentile/SLO fields, no counters)
-        // must still decode — remote workers running older builds feed
-        // the same spool.
+    fn pre_current_result_records_fail_the_merge_with_a_version_error() {
+        // A journaled result record stamped with an older codec version
+        // is a structured version error, not a record read with
+        // defaulted columns.
+        use simcal_sim::codec::{CodecError, CODEC_VERSION};
         let sc = ScenarioRegistry::reduced().scenarios().remove(0);
-        let r = SweepResult::from_trace("old", &sc.run(&mut simcal_sim::SimSession::new()));
-        let mut json = sweep_result_to_json(&r);
-        let fields = json.fields_mut().unwrap();
-        fields.retain(|(k, _)| {
-            !matches!(
-                k.as_str(),
-                "wait_p50"
-                    | "wait_p99"
-                    | "wait_p999"
-                    | "slowdown_p50"
-                    | "slowdown_p99"
-                    | "slowdown_p999"
-                    | "slo_attained"
-                    | "event_pushes"
-                    | "event_stale_drops"
-            )
-        });
-        for (k, v) in fields.iter_mut() {
-            if k == "v" {
-                *v = Json::Num(5.0);
-            }
+        let r = SweepResult::from_trace(&sc.name, &sc.run(&mut simcal_sim::SimSession::new()));
+        let spool = fresh_spool("old-record");
+        spool_tasks(&spool, &[sc]).unwrap();
+        write_result(&spool, 0, &r).unwrap();
+        let path = result_path(&spool, 0);
+        let current = format!(r#""v":{CODEC_VERSION}"#);
+        let record = std::fs::read_to_string(&path).unwrap();
+        assert!(record.starts_with(&format!("{{{current},")), "{record}");
+        let old = CODEC_VERSION - 1;
+        std::fs::write(&path, record.replacen(&current, &format!(r#""v":{old}"#), 1)).unwrap();
+        match merge_results(&spool) {
+            Err(DistError::Codec {
+                source: CodecError::UnsupportedVersion { ty: "ResultRecord", version, .. },
+                ..
+            }) => assert_eq!(version, old),
+            other => panic!("an old result record gave {other:?}"),
         }
-        let back = sweep_result_from_json(&json).unwrap();
-        assert_eq!(back.name, r.name);
-        assert_eq!(back.trace_hash, r.trace_hash);
-        assert_eq!(back.wait_p50, 0.0);
-        assert_eq!(back.slowdown_p50, 1.0);
-        assert_eq!(back.slo_attained, 1.0);
-        assert_eq!(back.event_pushes, 0);
+        std::fs::remove_dir_all(&spool).ok();
     }
 
     #[test]
     fn retired_timer_store_fields_still_decode_and_are_not_re_emitted() {
-        // A spool journaled by the previous binary carries `event_list` on
-        // every scenario's config and `calendar_*` on every result;
-        // `--resume` must read both, ignore the fields, and write neither.
-        use simcal_sim::codec::{decode_scenario, encode_scenario};
+        // The timer-store fields were retired in place at v7: a v7 payload
+        // still carrying `event_list` on a scenario's config or
+        // `calendar_*` on a result decodes, ignores them, and re-encodes
+        // without them. The same payload stamped v6 is a version error.
+        use simcal_sim::codec::{decode_scenario, encode_scenario, CodecError};
         let sc = ScenarioRegistry::reduced().scenarios().remove(0);
         let r = SweepResult::from_trace("old", &sc.run(&mut simcal_sim::SimSession::new()));
         let (task, result) = (encode_scenario(&sc), encode_sweep_result(&r));
@@ -1252,12 +1215,19 @@ mod tests {
             1,
         );
         assert!(old_task.len() > task.len() && old_result.len() > result.len());
-        for v in [r#""v":6"#, r#""v":7"#] {
-            let back = decode_scenario(&old_task.replacen(r#""v":7"#, v, 1)).unwrap();
-            assert_eq!(encode_scenario(&back), task, "{v}: scenario re-encode differs");
-            let back = decode_sweep_result(&old_result.replacen(r#""v":7"#, v, 1)).unwrap();
-            assert_eq!(encode_sweep_result(&back), result, "{v}: result re-encode differs");
-        }
+        let back = decode_scenario(&old_task).unwrap();
+        assert_eq!(encode_scenario(&back), task, "scenario re-encode differs");
+        let back = decode_sweep_result(&old_result).unwrap();
+        assert_eq!(encode_sweep_result(&back), result, "result re-encode differs");
+        let v6 = |text: &str| text.replacen(r#""v":7"#, r#""v":6"#, 1);
+        assert!(matches!(
+            decode_scenario(&v6(&old_task)),
+            Err(CodecError::UnsupportedVersion { ty: "Scenario", version: 6, supported: 7 })
+        ));
+        assert!(matches!(
+            decode_sweep_result(&v6(&old_result)),
+            Err(CodecError::UnsupportedVersion { ty: "SweepResult", version: 6, supported: 7 })
+        ));
     }
 
     #[test]
@@ -1383,24 +1353,6 @@ mod tests {
     fn empty_grid_is_fine() {
         let spool = fresh_spool("empty");
         assert!(DistSweep::new(&spool).run(&[]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn sweep_result_codec_tolerates_v1_payloads_without_wait_columns() {
-        let grid = grid(1);
-        let r = SweepRunner::new().with_workers(1).run(&grid).remove(0);
-        let text = encode_sweep_result(&r);
-        // Strip the v2 queue-wait fields and mark the payload v1.
-        let stripped = text
-            .replace(&format!(",\"mean_queue_wait\":{}", r.mean_queue_wait), "")
-            .replace(&format!(",\"max_queue_wait\":{}", r.max_queue_wait), "")
-            .replacen(&format!("{{\"v\":\"{CODEC_VERSION}\""), "{\"v\":\"1\"", 1)
-            .replacen(&format!("{{\"v\":{CODEC_VERSION}"), "{\"v\":1", 1);
-        assert!(!stripped.contains("queue_wait"), "fields stripped: {stripped}");
-        let back = decode_sweep_result(&stripped).unwrap();
-        assert_eq!(back.mean_queue_wait, 0.0);
-        assert_eq!(back.max_queue_wait, 0.0);
-        assert_eq!(back.trace_hash, r.trace_hash);
     }
 
     #[test]

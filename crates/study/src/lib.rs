@@ -28,7 +28,7 @@ pub mod objective;
 pub mod report;
 pub mod sweep;
 
-pub use backoff::{Backoff, ClaimWindow};
+pub use backoff::Backoff;
 pub use case::CaseStudy;
 pub use context::ExperimentContext;
 pub use dist::{DistError, DistSummary, DistSweep};

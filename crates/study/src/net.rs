@@ -13,29 +13,26 @@
 //!
 //! ## Protocol
 //!
-//! Each connection is **windowed and pipelined** (codec v5): the worker
-//! sends `Hello` once (advertising its `threads`), then
-//! loops `ClaimN { max, holding }` → (`TaskBatch` | `Heartbeat` |
-//! `Drain`), streaming a `Result` back as each task finishes and
-//! re-claiming *before* its queue drains so the claim round trip hides
-//! behind compute. The coordinator tracks a per-connection in-flight
-//! *set* and sizes each grant from an adaptive
-//! [`ClaimWindow`]: start at 1, double on a
-//! full accepted window, halve on any requeue, cap from observed
-//! claim→result latency vs per-task duration — so sub-millisecond tasks
-//! batch aggressively while long calibration tasks degrade to the old
-//! lock-step cadence. A claim the window (or a momentarily dry spool)
-//! cannot satisfy is **parked**, not refused: the coordinator withholds
-//! the grant and retries it on every accepted result, heartbeat, and
-//! poll tick, answering dry spells with `Heartbeat` liveness frames so
-//! the waiting worker never burns a backoff sleep (v4 peers, which block
-//! on every claim, still get their immediate `Heartbeat` "back off and
-//! re-claim" answer). `Drain` means "no work will ever come; goodbye",
-//! answered with `Bye`. A background ticker on each
-//! worker connection sends `Heartbeat` frames at a fixed interval so the
-//! coordinator can tell slow from dead. v4 workers still interoperate:
-//! their lock-step `Claim` is served as `ClaimN { max: 1, holding: [] }`
-//! with single-`Task` replies.
+//! Each connection is **windowed and pipelined**: the worker sends
+//! `Hello` once (advertising its `threads`), then loops
+//! `ClaimN { max, holding }` → (`TaskBatch` | `Heartbeat` | `Drain`),
+//! streaming a `Result` back as each task finishes and re-claiming
+//! *before* its queue drains so the claim round trip hides behind
+//! compute. The coordinator tracks a per-connection in-flight *set* and
+//! never lets it grow past the connection's claim window: one fixed size,
+//! [`DEFAULT_CLAIM_WINDOW`] unless `--claim-window N` pins another, set
+//! when the connection opens and never changed. A claim the window (or a
+//! momentarily dry spool) cannot satisfy is **parked**, not refused: the
+//! coordinator withholds the grant and retries it on every accepted
+//! result, heartbeat, and poll tick, answering dry spells with
+//! `Heartbeat` liveness frames so the waiting worker never burns a
+//! backoff sleep. `Drain` means "no work will ever come; goodbye",
+//! answered with `Bye`. A background ticker on each worker connection
+//! sends `Heartbeat` frames at a fixed interval so the coordinator can
+//! tell slow from dead. Every frame is checked against the codec version
+//! policy ([`simcal_sim::codec::CODEC_VERSION`]): a peer speaking an
+//! older wire version (such as the retired lock-step `claim`/`task`
+//! protocol) fails to decode and its connection is cut and counted dead.
 //!
 //! When the coordinator is started with an auth token it opens every
 //! connection with `AuthChallenge { nonce }` and serves no tasks (and
@@ -52,7 +49,7 @@
 //! connection but not yet resulted, and frames on one socket are
 //! ordered, so any outstanding task *missing* from an arriving claim's
 //! `holding` can no longer produce a result — its `Result` frame was
-//! lost. Those tasks are requeued on the spot (shrinking the window).
+//! lost. Those tasks are requeued on the spot.
 //! The *whole* outstanding window is requeued when the connection dies,
 //! the heartbeat deadline lapses with no frame (the same
 //! `--stall-timeout` knob the process transport uses), or a corrupt
@@ -87,13 +84,13 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use simcal_sim::codec::{
-    encode_msg, encode_result_msg, encode_task_batch_msg, encode_task_msg, read_frame,
-    scenario_from_json, write_frame, write_frame_text, FrameError, Json, WireMsg,
+    encode_msg, encode_result_msg, encode_task_batch_msg, read_frame, scenario_from_json,
+    write_frame, write_frame_text, FrameError, Json, WireMsg,
 };
 use simcal_sim::Scenario;
 
 use crate::auth;
-use crate::backoff::{Backoff, ClaimWindow, MAX_CLAIM_WINDOW};
+use crate::backoff::Backoff;
 use crate::dist::{
     count_results, fnv1a, merge_results, requeue_orphans, requeue_task, result_path, resume_spool,
     run_worker, spool_tasks, sweep_result_from_json, sweep_result_to_json, unfinished_claims,
@@ -119,6 +116,31 @@ const DRAIN_WAIT: Duration = Duration::from_secs(1);
 /// Local-drain recovery rounds before the coordinator gives up and lets
 /// the merge report what is missing (mirrors `dist::MAX_RECOVERIES`).
 const MAX_RECOVERIES: u32 = 3;
+
+/// The claim window of every connection that `--claim-window N` does not
+/// pin: at most this many granted tasks without a result, per
+/// connection. Enough to hide a loopback claim round trip behind compute;
+/// small enough that the tail of a sweep still spreads across the fleet.
+///
+/// Measured on a 2-vCPU box, loopback, the 28-task reduced registry
+/// (`benches/dist`, medians of alternated recordings against the adaptive
+/// controller this constant replaced): one worker 21.1 ms against 25.4 ms
+/// (window 1: 29.2 ms); two workers 47.8 ms against 47.1 ms over 12
+/// pairs, inside either side's spread (44–57 and 42–51 ms). Ten
+/// ~0.45 s tasks over two single-thread workers (debug build) finished in
+/// 3.5–4.8 s against 3.9–4.5 s.
+pub const DEFAULT_CLAIM_WINDOW: usize = 4;
+
+/// Hard ceiling on a pinned claim window. Far above the point of
+/// diminishing returns for pipelining, far below anything that would hurt
+/// fleet load balance catastrophically.
+pub const MAX_CLAIM_WINDOW: usize = 256;
+
+/// Resolve a `--claim-window` choice: `Some(n)` clamped to
+/// `1..=`[`MAX_CLAIM_WINDOW`], `None` the default.
+fn claim_window(window: Option<usize>) -> usize {
+    window.map_or(DEFAULT_CLAIM_WINDOW, |n| n.clamp(1, MAX_CLAIM_WINDOW))
+}
 
 fn net_err(addr: &str, msg: impl Into<String>) -> DistError {
     DistError::Net { addr: addr.to_string(), msg: msg.into() }
@@ -266,7 +288,7 @@ impl std::fmt::Display for FaultPlan {
 pub struct WorkerReport {
     /// The worker's `Hello` name.
     pub name: String,
-    /// Advertised worker threads (0 = unadvertised, e.g. a v4 peer).
+    /// Advertised worker threads.
     pub threads: u64,
     /// Results this connection delivered (accepted or corrupt).
     pub tasks: usize,
@@ -278,11 +300,8 @@ pub struct WorkerReport {
     pub bytes_in: u64,
     /// Bytes written to this connection.
     pub bytes_out: u64,
-    /// Mean claim→first-result latency in whole microseconds (`None`
-    /// before any result).
-    pub mean_rtt_us: Option<u64>,
-    /// The claim window when the connection closed.
-    pub final_window: usize,
+    /// The connection's claim window.
+    pub window: usize,
 }
 
 impl std::fmt::Display for WorkerReport {
@@ -297,12 +316,8 @@ impl std::fmt::Display for WorkerReport {
             self.frames_out,
             self.bytes_in,
             self.bytes_out,
-            self.final_window,
-        )?;
-        match self.mean_rtt_us {
-            Some(us) => write!(f, " rtt={us}us"),
-            None => write!(f, " rtt=n/a"),
-        }
+            self.window,
+        )
     }
 }
 
@@ -444,43 +459,34 @@ impl std::io::Write for Metered<'_> {
     }
 }
 
-/// Per-connection coordinator state: the in-flight set, the adaptive
-/// window, the latency probes, and the auth gate.
+/// Per-connection coordinator state: the in-flight set, the window, and
+/// the auth gate.
 struct ConnState {
     /// Task indices granted on this connection with no result yet.
     outstanding: HashSet<usize>,
-    window: ClaimWindow,
-    /// Head task of the latest grant, with its grant instant: the
-    /// claim→first-result RTT probe (queueing behind batch siblings
-    /// would pollute per-task RTT, so only the head is timed).
-    rtt_probe: Option<(usize, Instant)>,
-    /// When the previous result arrived, for per-task-duration samples.
-    last_result_at: Option<Instant>,
+    /// Most tasks `outstanding` may hold at once.
+    window: usize,
     name: String,
     threads: u64,
     tasks_served: usize,
     /// True once the shared secret is proven (or never demanded).
     authed: bool,
-    /// Pre-auth claims tolerated so far (exactly one is legal: a v5
+    /// Pre-auth claims tolerated so far (exactly one is legal: a
     /// worker's first claim races its own auth proof on the wire).
     preauth_claims: u32,
     nonce: u64,
     /// Unsatisfied demand from the worker's last claim. When the window
     /// is full at claim time the reply is *withheld*, not refused: the
     /// next accepted result frees a slot and triggers the grant, so
-    /// lock-step never pays a backoff sleep between tasks.
+    /// a window of 1 never pays a backoff sleep between tasks.
     deferred: u64,
-    /// The worker speaks v4 (`Claim`/`Task`/`Heartbeat` shapes).
-    legacy: bool,
 }
 
 impl ConnState {
-    fn new(window: Option<usize>, authed: bool, nonce: u64) -> Self {
+    fn new(window: usize, authed: bool, nonce: u64) -> Self {
         Self {
             outstanding: HashSet::new(),
-            window: make_window(window, 0),
-            rtt_probe: None,
-            last_result_at: None,
+            window,
             name: String::new(),
             threads: 0,
             tasks_served: 0,
@@ -488,7 +494,6 @@ impl ConnState {
             preauth_claims: 0,
             nonce,
             deferred: 0,
-            legacy: false,
         }
     }
 
@@ -501,19 +506,8 @@ impl ConnState {
             frames_out: m.frames_out,
             bytes_in: m.bytes_in,
             bytes_out: m.bytes_out,
-            mean_rtt_us: self.window.mean_rtt_us(),
-            final_window: self.window.window(),
+            window: self.window,
         }
-    }
-}
-
-/// The connection's window controller: pinned when `--claim-window N`,
-/// otherwise adaptive with a starting cap from the worker's advertised
-/// thread count (unadvertised ⇒ a modest default).
-fn make_window(fixed: Option<usize>, threads: u64) -> ClaimWindow {
-    match fixed {
-        Some(n) => ClaimWindow::fixed(n),
-        None => ClaimWindow::auto(((threads as usize) * 2).max(4)),
     }
 }
 
@@ -526,9 +520,8 @@ struct CoordShared {
     source: SpoolSource,
     done: AtomicBool,
     stall: Duration,
-    /// `Some(n)` pins every connection's claim window to `n`; `None` is
-    /// adaptive (the default).
-    claim_window: Option<usize>,
+    /// Every connection's claim window.
+    claim_window: usize,
     /// The shared secret workers must prove; `None` = zero-config.
     auth_token: Option<String>,
     fatal: Mutex<Option<DistError>>,
@@ -664,33 +657,24 @@ impl CoordShared {
     }
 
     /// Serve one claim: requeue what the `holding` list proves lost,
-    /// record the demand, and grant what the window allows. `legacy`
-    /// selects the v4 single-`Task`/`Heartbeat` reply shapes.
+    /// record the demand, and grant what the window allows.
     fn serve_claim(
         &self,
         m: &mut Metered<'_>,
         ctl: &mut ConnState,
         max: u64,
         holding: &[u64],
-        legacy: bool,
     ) -> Option<Close> {
-        ctl.legacy = legacy;
         if !ctl.authed {
-            // A v5 worker's first claim legitimately races its own auth
+            // A worker's first claim legitimately races its own auth
             // proof (Hello, ClaimN, AuthProof arrive in that order), so
             // one pre-auth claim parks its demand until the proof lands
             // (the verified `AuthProof` pumps it); a second claim proves
-            // the peer is not going to authenticate. Legacy workers
-            // cannot authenticate at all — nudge the first claim so
-            // their lock-step loop re-claims into the reject.
+            // the peer is not going to authenticate.
             if ctl.preauth_claims > 0 {
                 return Some(self.reject(m, "authentication required"));
             }
             ctl.preauth_claims += 1;
-            if legacy {
-                let nudge = WireMsg::Heartbeat { inflight: None };
-                return m.send(&nudge).is_err().then_some(Close::Dead);
-            }
             ctl.deferred = max;
             return None;
         }
@@ -700,79 +684,52 @@ impl CoordShared {
         let held: HashSet<usize> = holding.iter().map(|i| *i as usize).collect();
         let lost: Vec<usize> =
             ctl.outstanding.iter().filter(|i| !held.contains(i)).copied().collect();
-        if !lost.is_empty() {
-            ctl.window.on_requeue();
-            for index in lost {
-                ctl.outstanding.remove(&index);
-                if ctl.rtt_probe.is_some_and(|(probe, _)| probe == index) {
-                    ctl.rtt_probe = None;
-                }
-                self.requeue(index);
-            }
+        for index in lost {
+            ctl.outstanding.remove(&index);
+            self.requeue(index);
         }
         ctl.deferred = max;
         self.pump(m, ctl)
     }
 
     /// Try to satisfy the connection's recorded demand. A full window or
-    /// a momentarily dry spool *withholds* the grant (v5 workers keep
+    /// a momentarily dry spool *withholds* the grant (the worker keeps
     /// computing; the next result, heartbeat, or poll tick retries it) —
     /// a dry spool additionally answers with a `Heartbeat` so the
-    /// waiting worker can tell a busy coordinator from a dead one. A v4
-    /// worker never lands in the withhold path: its claim empties
-    /// `outstanding` first, so the allowance is never zero and it always
-    /// gets its `Task`-or-`Heartbeat` answer immediately.
+    /// waiting worker can tell a busy coordinator from a dead one.
     fn pump(&self, m: &mut Metered<'_>, ctl: &mut ConnState) -> Option<Close> {
         if ctl.deferred == 0 || !ctl.authed {
             return None;
         }
-        let allowance = ctl.window.window().saturating_sub(ctl.outstanding.len());
-        let want = (ctl.deferred as usize).min(allowance).min(MAX_CLAIM_WINDOW);
+        let allowance = ctl.window.saturating_sub(ctl.outstanding.len());
+        let want = (ctl.deferred as usize).min(allowance);
         if want == 0 {
             return None;
         }
         match self.next_batch(want) {
             Grant::Tasks(tasks) => {
                 ctl.deferred = 0;
-                if ctl.outstanding.is_empty() {
-                    // A grant after an idle pipe: duration samples across
-                    // the gap would count idle time as compute.
-                    ctl.last_result_at = None;
-                }
                 let indices: Vec<usize> = tasks.iter().map(|(i, _)| *i).collect();
                 // Scenario texts splice straight from the spool records
                 // into the frame — the raw-encoding twin of the worker's
                 // `Result` path, pinned byte-identical to the structured
                 // encoder by the codec tests.
-                let body = if ctl.legacy {
-                    let (index, scenario) = tasks.into_iter().next().expect("non-empty grant");
-                    encode_task_msg(index as u64, &scenario)
-                } else {
-                    let wire: Vec<(u64, String)> =
-                        tasks.into_iter().map(|(i, sc)| (i as u64, sc)).collect();
-                    encode_task_batch_msg(&wire)
-                };
-                if m.send_text(&body).is_err() {
+                let wire: Vec<(u64, String)> =
+                    tasks.into_iter().map(|(i, sc)| (i as u64, sc)).collect();
+                if m.send_text(&encode_task_batch_msg(&wire)).is_err() {
                     for index in indices {
                         self.requeue(index);
                     }
                     return Some(Close::Dead);
                 }
-                if ctl.rtt_probe.is_none() {
-                    ctl.rtt_probe = Some((indices[0], Instant::now()));
-                }
                 ctl.outstanding.extend(indices);
                 None
             }
             Grant::Wait => {
-                // "Claimed-but-unfinished tasks exist elsewhere": a v4
-                // worker needs its lock-step answer now; a v5 worker's
+                // "Claimed-but-unfinished tasks exist elsewhere": the
                 // demand stays parked — requeued orphans reach it within
-                // a poll tick — with a liveness heartbeat so its
+                // a poll tick — with a liveness heartbeat so the worker's
                 // patience timer keeps finding frames.
-                if ctl.legacy {
-                    ctl.deferred = 0;
-                }
                 let nudge = WireMsg::Heartbeat { inflight: None };
                 m.send(&nudge).is_err().then_some(Close::Dead)
             }
@@ -819,20 +776,9 @@ impl CoordShared {
                             self.joined.fetch_add(1, Ordering::SeqCst);
                             ctl.name = worker;
                             ctl.threads = threads;
-                            // Hello precedes any grant, so re-deriving
-                            // the window from the advertised capability
-                            // loses nothing.
-                            ctl.window = make_window(self.claim_window, threads);
-                        }
-                        WireMsg::Claim => {
-                            if let Some(close) = self.serve_claim(&mut m, &mut ctl, 1, &[], true) {
-                                break close;
-                            }
                         }
                         WireMsg::ClaimN { max, holding } => {
-                            if let Some(close) =
-                                self.serve_claim(&mut m, &mut ctl, max, &holding, false)
-                            {
+                            if let Some(close) = self.serve_claim(&mut m, &mut ctl, max, &holding) {
                                 break close;
                             }
                         }
@@ -855,22 +801,7 @@ impl CoordShared {
                                 break self.reject(&mut m, "authentication required");
                             }
                             let index = index as usize;
-                            let now = Instant::now();
-                            if ctl.outstanding.remove(&index) {
-                                let rtt = ctl
-                                    .rtt_probe
-                                    .take_if(|(probe, _)| *probe == index)
-                                    .map(|(_, granted)| now - granted);
-                                // A duration sample is only honest when
-                                // the worker provably had queued work
-                                // since the last result.
-                                let task = ctl
-                                    .last_result_at
-                                    .filter(|_| !ctl.outstanding.is_empty())
-                                    .map(|prev| now - prev);
-                                ctl.window.on_result(rtt, task);
-                                ctl.last_result_at = Some(now);
-                            }
+                            ctl.outstanding.remove(&index);
                             ctl.tasks_served += 1;
                             if !self.accept_result(index, sum, &payload) {
                                 break Close::Dead;
@@ -898,8 +829,7 @@ impl CoordShared {
                         WireMsg::Bye => break Close::Left,
                         // A worker has no business sending coordinator
                         // frames.
-                        WireMsg::Task { .. }
-                        | WireMsg::TaskBatch { .. }
+                        WireMsg::TaskBatch { .. }
                         | WireMsg::AuthChallenge { .. }
                         | WireMsg::Reject { .. } => break Close::Dead,
                     }
@@ -953,7 +883,7 @@ impl CoordShared {
                     return Close::Drained;
                 }
                 // A claim crossed our drain on the wire: repeat it.
-                Ok(WireMsg::Claim | WireMsg::ClaimN { .. }) => {
+                Ok(WireMsg::ClaimN { .. }) => {
                     if m.send(&WireMsg::Drain).is_err() {
                         return Close::Drained;
                     }
@@ -984,7 +914,7 @@ pub struct TcpSweep {
     stall_timeout: Duration,
     seed: u64,
     resume: bool,
-    claim_window: Option<usize>,
+    claim_window: usize,
     auth_token: Option<String>,
 }
 
@@ -1000,7 +930,7 @@ impl TcpSweep {
             stall_timeout: Duration::from_secs(30),
             seed: 0,
             resume: false,
-            claim_window: None,
+            claim_window: DEFAULT_CLAIM_WINDOW,
             auth_token: None,
         }
     }
@@ -1035,10 +965,10 @@ impl TcpSweep {
     }
 
     /// Pin every connection's claim window to `Some(n)` (clamped to
-    /// `1..=`[`MAX_CLAIM_WINDOW`]; `Some(1)` is the v4 lock-step
-    /// protocol), or `None` for the adaptive controller (the default).
+    /// `1..=`[`MAX_CLAIM_WINDOW`]; `Some(1)` grants one task per claim),
+    /// or `None` for [`DEFAULT_CLAIM_WINDOW`].
     pub fn with_claim_window(mut self, window: Option<usize>) -> Self {
-        self.claim_window = window.map(|n| n.clamp(1, MAX_CLAIM_WINDOW));
+        self.claim_window = claim_window(window);
         self
     }
 
@@ -1381,8 +1311,8 @@ impl<'a> Conn<'a> {
     }
 }
 
-/// A TCP sweep worker: dials the coordinator, claims tasks one at a time
-/// per thread, and streams results back. Reconnects through seeded
+/// A TCP sweep worker: dials the coordinator, claims windows of tasks per
+/// thread, and streams results back. Reconnects through seeded
 /// backoff when the connection breaks; leaves gracefully (`Drain`/`Bye`)
 /// when the coordinator drains it or `max_tasks` is reached.
 #[derive(Debug)]
@@ -1396,7 +1326,7 @@ pub struct TcpWorker {
     dial_attempts: u32,
     max_tasks: Option<u64>,
     fault: FaultPlan,
-    claim_window: Option<usize>,
+    claim_window: usize,
     auth_token: Option<String>,
 }
 
@@ -1413,7 +1343,7 @@ impl TcpWorker {
             dial_attempts: 40,
             max_tasks: None,
             fault: FaultPlan::default(),
-            claim_window: None,
+            claim_window: DEFAULT_CLAIM_WINDOW,
             auth_token: None,
         }
     }
@@ -1424,7 +1354,7 @@ impl TcpWorker {
         self
     }
 
-    /// Concurrent connections (one task in flight per thread).
+    /// Concurrent connections (one task computing per thread).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -1470,10 +1400,11 @@ impl TcpWorker {
     }
 
     /// Cap the local task queue at `Some(n)` (clamped to
-    /// `1..=`[`MAX_CLAIM_WINDOW`]), or `None` for the default. The
-    /// coordinator's window still governs how much is actually granted.
+    /// `1..=`[`MAX_CLAIM_WINDOW`]), or `None` for [`DEFAULT_CLAIM_WINDOW`].
+    /// The coordinator's window still governs how much is actually
+    /// granted.
     pub fn with_claim_window(mut self, window: Option<usize>) -> Self {
-        self.claim_window = window.map(|n| n.clamp(1, MAX_CLAIM_WINDOW));
+        self.claim_window = claim_window(window);
         self
     }
 
@@ -1651,7 +1582,7 @@ impl TcpWorker {
     ) -> ConnEnd {
         let mut claim_pause =
             Backoff::new(Duration::from_millis(25), Duration::from_millis(250), self.seed ^ 0x5EED);
-        let capacity = self.claim_window.unwrap_or(32).clamp(1, MAX_CLAIM_WINDOW);
+        let capacity = self.claim_window;
         let mut queue: VecDeque<(u64, Scenario)> = VecDeque::new();
         let mut claim_inflight = false;
         loop {
@@ -1735,15 +1666,6 @@ impl TcpWorker {
                         queue.push_back((index, sc));
                     }
                 }
-                // A lock-step (v4) coordinator answers with single
-                // tasks; the pipeline degenerates gracefully.
-                WireMsg::Task { index, scenario } => {
-                    claim_inflight = false;
-                    let Ok(sc) = scenario_from_json(&scenario) else {
-                        return ConnEnd::Reconnect;
-                    };
-                    queue.push_back((index, sc));
-                }
                 // "Alive, nothing to grant yet": the claim stays parked
                 // on the coordinator and a `TaskBatch`/`Drain` answer is
                 // still coming — keep waiting, no backoff burned.
@@ -1812,6 +1734,11 @@ mod tests {
     use super::*;
     use crate::dist::spool_tasks;
     use simcal_sim::ScenarioRegistry;
+
+    /// A grid larger than two default-window grants, so that in a
+    /// two-worker fleet one worker's grants cannot leave its sibling
+    /// nothing to do.
+    const FLEET_GRID: usize = 2 * DEFAULT_CLAIM_WINDOW + 2;
 
     fn grid(n: usize) -> Vec<Scenario> {
         ScenarioRegistry::reduced().scenarios().into_iter().take(n).collect()
@@ -1915,7 +1842,7 @@ mod tests {
 
     #[test]
     fn killed_worker_loses_nothing() {
-        let grid = grid(4);
+        let grid = grid(FLEET_GRID);
         let spool = fresh_spool("kill");
         let plan = FaultPlan { kill_after_tasks: Some(1), ..FaultPlan::default() };
         let (coord, outcomes) = run_tcp(
@@ -1940,10 +1867,9 @@ mod tests {
         let grid = grid(3);
         let spool = fresh_spool("drop");
         // Long heartbeat so the frame ordinals are deterministic:
-        // Hello(1), ClaimN(2), ClaimN(3), Result(4) — the pipelined
-        // worker re-claims before computing, and the first result
-        // vanishes.
-        let plan = FaultPlan { drop_frame: Some(4), ..FaultPlan::default() };
+        // Hello(1), ClaimN(2) → TaskBatch[t0..t2], Result(3) — the first
+        // result vanishes — then ClaimN(4) holds only [t1,t2].
+        let plan = FaultPlan { drop_frame: Some(3), ..FaultPlan::default() };
         let (coord, outcomes) = run_tcp(
             &spool,
             &grid,
@@ -2068,7 +1994,7 @@ mod tests {
 
     #[test]
     fn worker_leaves_gracefully_after_max_tasks() {
-        let grid = grid(3);
+        let grid = grid(FLEET_GRID);
         let spool = fresh_spool("leave");
         let (coord, outcomes) = run_tcp(
             &spool,
@@ -2086,7 +2012,7 @@ mod tests {
 
     #[test]
     fn elastic_worker_joins_mid_sweep() {
-        let grid = grid(4);
+        let grid = grid(FLEET_GRID);
         let spool = fresh_spool("elastic");
         // The early worker drags every frame out, so the sweep is still
         // running when the second worker dials in.
@@ -2282,73 +2208,57 @@ mod tests {
         assert_eq!(r.tasks, grid.len());
         assert!(r.frames_in > 0 && r.frames_out > 0, "frame counters never moved: {r}");
         assert!(r.bytes_in > 0 && r.bytes_out > 0, "byte counters never moved: {r}");
-        assert!(r.final_window >= 1);
-        assert!(r.mean_rtt_us.is_some(), "no RTT probe landed: {r}");
+        assert_eq!(r.window, DEFAULT_CLAIM_WINDOW);
         let line = r.to_string();
         assert!(line.contains("obs/t0") && line.contains("tasks=4"), "report line: {line}");
+        assert!(line.ends_with("window=4"), "report line: {line}");
         std::fs::remove_dir_all(&spool).ok();
     }
 
     #[test]
-    fn a_v4_lock_step_worker_interops_with_the_v5_coordinator() {
+    fn a_v4_lock_step_claim_is_cut_and_the_sweep_still_merges() {
         let grid = grid(3);
-        let spool = fresh_spool("v4-interop");
-        // A hand-rolled worker speaking the exact v4 wire text: single
-        // `claim`s, no capability fields, no `holding` lists.
-        let send_v4 = |stream: &TcpStream, text: &str| {
+        let spool = fresh_spool("v4-claim");
+        // A hand-rolled peer that introduces itself at the current
+        // version, then sends the retired v4 lock-step `claim` frame.
+        let send = |stream: &TcpStream, text: &str| {
             use std::io::Write;
             let mut w = stream;
             w.write_all(&(text.len() as u32).to_be_bytes()).unwrap();
             w.write_all(text.as_bytes()).unwrap();
             w.flush().unwrap();
         };
-        let (coord, served) = crossbeam::thread::scope(|scope| {
+        let (coord, cut) = crossbeam::thread::scope(|scope| {
             let coord = scope.spawn(|_| coordinator(&spool).run(&grid));
             let addr = wait_addr(&spool);
-            let runner = SweepRunner::new().with_workers(1);
             let stream = TcpStream::connect(&addr).unwrap();
             stream.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
-            send_v4(&stream, r#"{"v":4,"type":"hello","worker":"legacy"}"#);
-            let mut served = 0usize;
-            loop {
-                send_v4(&stream, r#"{"v":4,"type":"claim"}"#);
-                let reply = loop {
-                    match read_frame(&mut (&stream)) {
-                        Ok(msg) => break msg,
-                        Err(FrameError::TimedOut) => {}
-                        Err(e) => panic!("v4 worker read failed: {e}"),
-                    }
-                };
-                match reply {
-                    WireMsg::Task { index, scenario } => {
-                        let sc = scenario_from_json(&scenario).unwrap();
-                        let text = sweep_result_to_json(&runner.run_scenario(&sc)).write();
-                        let sum = fnv1a(text.as_bytes());
-                        send_v4(
-                            &stream,
-                            &format!(
-                                r#"{{"v":4,"type":"result","index":"{index}","sum":"{sum}","payload":{text}}}"#
-                            ),
-                        );
-                        served += 1;
-                    }
-                    WireMsg::Heartbeat { .. } => std::thread::sleep(Duration::from_millis(5)),
-                    WireMsg::Drain => {
-                        send_v4(&stream, r#"{"v":4,"type":"bye"}"#);
-                        break;
-                    }
-                    WireMsg::Bye => break,
-                    other => panic!("unexpected reply to a v4 claim: {other:?}"),
+            send(&stream, r#"{"v":7,"type":"hello","worker":"v4-peer","threads":"1"}"#);
+            send(&stream, r#"{"v":4,"type":"claim"}"#);
+            // The coordinator answers nothing and hangs up.
+            let start = Instant::now();
+            let cut = loop {
+                match read_frame(&mut (&stream)) {
+                    Err(FrameError::TimedOut) if start.elapsed() < Duration::from_secs(10) => {}
+                    other => break other,
                 }
-            }
-            (coord.join().expect("coordinator"), served)
+            };
+            // A current worker then drains the whole sweep.
+            let outcome = fast_worker(addr, 41).run();
+            assert!(outcome.is_ok(), "worker failed: {outcome:?}");
+            (coord.join().expect("coordinator"), cut)
         })
         .expect("tcp test scope");
+        assert!(
+            matches!(cut, Err(FrameError::Closed | FrameError::Io(_))),
+            "v4 claim was answered: {cut:?}"
+        );
         let (results, summary) = coord.unwrap();
         assert_eq!(fingerprints(&results), fingerprints(&local(&grid)));
-        assert_eq!(served, grid.len(), "the v4 worker did not drain the sweep");
-        assert_eq!(summary.dead_workers, 0, "v4 interop broke the connection: {summary}");
-        assert!(summary.is_clean(), "v4 interop fired a recovery path: {summary}");
+        assert_eq!(summary.dead_workers, 1, "the v4 connection was not counted dead: {summary}");
+        assert_eq!(summary.workers_joined, 2, "{summary}");
+        let peer = summary.per_worker.iter().find(|r| r.name == "v4-peer").expect("v4 report");
+        assert_eq!(peer.tasks, 0, "the v4 peer was served: {peer}");
         std::fs::remove_dir_all(&spool).ok();
     }
 

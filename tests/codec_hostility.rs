@@ -20,8 +20,7 @@ use simcal::study::dist::{decode_sweep_result, encode_sweep_result};
 use simcal::study::SweepRunner;
 
 /// A representative corpus of valid wire texts to mutate: a scenario, a
-/// sweep result, and one of each protocol message (v4 lock-step forms
-/// and the v5 windowed/auth forms alike).
+/// sweep result, and one of each protocol message.
 fn corpus() -> Vec<String> {
     let grid = ScenarioRegistry::reduced().scenarios();
     let sc = &grid[0];
@@ -32,9 +31,7 @@ fn corpus() -> Vec<String> {
         encode_scenario(sc),
         encode_sweep_result(result),
         encode_msg(&WireMsg::Hello { worker: "prop-worker".to_string(), threads: 4 }),
-        encode_msg(&WireMsg::Claim),
         encode_msg(&WireMsg::ClaimN { max: 8, holding: vec![3, 11, u64::MAX] }),
-        encode_msg(&WireMsg::Task { index: 7, scenario: scenario_json() }),
         encode_msg(&WireMsg::TaskBatch { tasks: vec![(7, scenario_json()), (9, scenario_json())] }),
         encode_msg(&WireMsg::TaskBatch { tasks: vec![] }),
         encode_msg(&WireMsg::AuthChallenge { nonce: 0x5EED_CAFE_1234_5678 }),
@@ -223,7 +220,7 @@ fn nested_but_legal_unknown_fields_still_decode() {
     for _ in 0..100 {
         nested = format!("[{nested}]");
     }
-    let text = format!(r#"{{"v":4,"type":"heartbeat","inflight":2,"future_field":{nested}}}"#);
+    let text = format!(r#"{{"v":7,"type":"heartbeat","inflight":2,"future_field":{nested}}}"#);
     match decode_msg(&text) {
         Ok(WireMsg::Heartbeat { inflight: Some(2) }) => {}
         other => panic!("forward-compatible payload gave {other:?}"),
@@ -235,8 +232,12 @@ fn nested_but_legal_unknown_fields_still_decode() {
 /// before the cut plus a structured error, or a clean `Closed`.
 #[test]
 fn every_split_of_a_frame_stream_fails_cleanly() {
-    let msgs =
-        [WireMsg::Claim, WireMsg::Heartbeat { inflight: None }, WireMsg::Drain, WireMsg::Bye];
+    let msgs = [
+        WireMsg::ClaimN { max: 1, holding: vec![] },
+        WireMsg::Heartbeat { inflight: None },
+        WireMsg::Drain,
+        WireMsg::Bye,
+    ];
     let mut stream = Vec::new();
     let mut boundaries = vec![0usize];
     for m in &msgs {

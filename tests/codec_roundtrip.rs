@@ -14,7 +14,8 @@
 use proptest::prelude::*;
 
 use simcal::sim::codec::{
-    decode_scenario, encode_scenario, scenario_from_json, scenario_to_json, CodecError, Json,
+    decode_msg, decode_scenario, encode_msg, encode_scenario, scenario_from_json, scenario_to_json,
+    CodecError, Json, WireMsg, CODEC_VERSION,
 };
 use simcal::sim::{CacheSpec, Scenario, ScenarioRegistry, SimConfig, WorkloadSource};
 use simcal::study::dist::{decode_sweep_result, encode_sweep_result};
@@ -87,16 +88,42 @@ fn version_bumped_payloads_with_unknown_fields_decode() {
         let fields = json.fields_mut().unwrap();
         for (k, v) in fields.iter_mut() {
             if k == "v" {
-                *v = Json::Num(2.0);
+                *v = Json::Num(CODEC_VERSION as f64 + 1.0);
             }
         }
         fields.push((
-            "added_in_v2".to_string(),
+            "added_in_a_later_version".to_string(),
             Json::Obj(vec![("nested".to_string(), Json::Arr(vec![Json::Num(1.0), Json::Null]))]),
         ));
         let back = scenario_from_json(&json)
-            .unwrap_or_else(|err| panic!("{}: v2 payload rejected: {err}", e.scenario.name));
+            .unwrap_or_else(|err| panic!("{}: newer payload rejected: {err}", e.scenario.name));
         assert_eq!(back, e.scenario);
+    }
+}
+
+#[test]
+fn pre_current_versions_are_structured_version_errors() {
+    // One wire version: a scenario, a sweep result and a protocol message
+    // stamped with any older version fail with the version error, which
+    // names both the version found and the one supported.
+    let grid = ScenarioRegistry::reduced().scenarios();
+    let result = &SweepRunner::new().with_workers(1).run(&grid[..1])[0];
+    let current = format!(r#""v":{CODEC_VERSION}"#);
+    type Decode = fn(&str) -> Option<CodecError>;
+    let cases: [(&str, String, Decode); 3] = [
+        ("Scenario", encode_scenario(&grid[0]), |t| decode_scenario(t).err()),
+        ("SweepResult", encode_sweep_result(result), |t| decode_sweep_result(t).err()),
+        ("WireMsg", encode_msg(&WireMsg::Heartbeat { inflight: None }), |t| decode_msg(t).err()),
+    ];
+    for (ty, text, decode) in cases {
+        assert!(text.starts_with(&format!("{{{current},")), "{ty}: {text}");
+        assert_eq!(decode(&text), None, "{ty}: the current version must decode");
+        for old in 0..CODEC_VERSION {
+            let err = decode(&text.replacen(&current, &format!(r#""v":{old}"#), 1));
+            let want =
+                CodecError::UnsupportedVersion { ty, version: old, supported: CODEC_VERSION };
+            assert_eq!(err.as_ref(), Some(&want), "{ty} v{old}");
+        }
     }
 }
 

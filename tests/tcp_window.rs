@@ -1,9 +1,9 @@
 //! Window-size × fault-schedule product property for the TCP transport.
 //!
-//! The batched v5 protocol must be **window-invariant**: whatever claim
-//! window the fleet runs at — lock-step 1, any fixed size, or the
-//! adaptive controller — and whatever seeded fault schedule one worker
-//! suffers mid-window, the merged sweep results are bit-identical to the
+//! The windowed protocol must be **window-invariant**: whatever claim
+//! window the fleet runs at — one task per claim, any pinned size, or the
+//! default — and whatever seeded fault schedule one worker suffers
+//! mid-window, the merged sweep results are bit-identical to the
 //! single-process local runner. The window is a throughput knob, never a
 //! correctness knob.
 
@@ -45,7 +45,7 @@ fn wait_addr(spool: &Path) -> String {
 }
 
 /// Run one coordinator and two workers — one sabotaged by `plan` — at
-/// the given claim window (`None` = adaptive) and return the merged
+/// the given claim window (`None` = the default) and return the merged
 /// result fingerprints.
 fn run_fleet(
     tag: &str,
@@ -86,9 +86,9 @@ fn run_fleet(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Any claim window (0 stands for the adaptive controller) crossed
-    /// with any seeded fault schedule merges bit-identically to the
-    /// local runner.
+    /// Any claim window (0 stands for the default window) crossed with
+    /// any seeded fault schedule merges bit-identically to the local
+    /// runner.
     #[test]
     fn any_window_times_any_fault_seed_merges_bit_identically(
         window in 0usize..=8,
@@ -96,7 +96,7 @@ proptest! {
     ) {
         let expected = fingerprints(&SweepRunner::new().with_workers(2).run(&grid()));
         let window = (window > 0).then_some(window);
-        let tag = format!("{}-{seed}", window.map_or("auto".into(), |w| w.to_string()));
+        let tag = format!("{}-{seed}", window.map_or("default".into(), |w| w.to_string()));
         let got = run_fleet(&tag, window, seed, FaultPlan::seeded(seed));
         prop_assert_eq!(
             got,
