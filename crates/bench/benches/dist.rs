@@ -1,24 +1,26 @@
-//! Distributed-driver overhead: the spooled coordinator at one process and
-//! the TCP coordinator with dialed-in workers vs the in-process
-//! `SweepRunner`, every worker single-threaded, over the reduced registry.
+//! Distributed-driver overhead: the coordinator draining alone
+//! (`--distributed --spawn 0`) and with dialed-in workers vs the
+//! in-process `SweepRunner`, every executor single-threaded, over the
+//! reduced registry.
 //!
-//! The delta between the in-process and spooled entries is the whole cost
-//! of the distribution machinery — encoding every scenario to a task
-//! file, claim-by-rename, result encode/decode, checksums, and the merge
-//! — and `BENCH_dist.json` tracks it across PRs. It is pure overhead at
-//! one process; it buys linear scaling across processes/machines. The
-//! one-worker TCP entries add the framed protocol on top at the two
-//! windows worth comparing: one task per claim, and the default window.
-//! The two-worker entry shares the grid between siblings, so the tail of
-//! the sweep — one worker still holding granted tasks while the other
-//! has none left to claim — is part of what it measures.
+//! The delta between the in-process and `spawn0` entries is the whole
+//! fixed cost of the distribution machinery — the journal (manifest,
+//! one checksummed result file per task, the merge), the listener and
+//! the coordinator's threads — and `BENCH_dist.json` tracks it across
+//! PRs. It is pure overhead at one process; it buys scaling across
+//! processes/machines. The one-worker TCP entries add the framed protocol
+//! on top at the two windows worth comparing: one task per claim, and the
+//! default window. The two-worker entry shares the grid between
+//! siblings, so the tail of the sweep — one worker still holding granted
+//! tasks while the other waits parked — is part of what it measures; CI
+//! gates its ratio to the one-worker entry.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
 use simcal_sim::ScenarioRegistry;
-use simcal_study::{DistSweep, SweepRunner, TcpSweep, TcpWorker};
+use simcal_study::{SweepRunner, TcpSweep, TcpWorker};
 
 fn bench_dist(c: &mut Criterion) {
     let grid = ScenarioRegistry::reduced().scenarios();
@@ -33,29 +35,30 @@ fn bench_dist(c: &mut Criterion) {
 
     let spool_base = std::env::temp_dir().join(format!("simcal-bench-dist-{}", std::process::id()));
     let iter_count = std::cell::Cell::new(0u64);
-    group.bench_function(&format!("registry{n}_spooled_1proc"), |b| {
+    group.bench_function(&format!("registry{n}_spawn0"), |b| {
         b.iter(|| {
-            // A fresh spool per iteration: spooling is part of the
-            // measured coordinator cost.
+            // A fresh spool per iteration: starting the journal is part
+            // of the measured coordinator cost.
             let spool = spool_base.join(format!("iter-{}", iter_count.get()));
             iter_count.set(iter_count.get() + 1);
-            let results = DistSweep::new(&spool).with_threads(1).run(black_box(&grid)).unwrap();
+            let driver = TcpSweep::new(&spool, "127.0.0.1:0").with_threads(1).with_spawn(0);
+            let results = driver.run(black_box(&grid)).unwrap().0;
             std::fs::remove_dir_all(&spool).ok();
             results.len()
         });
     });
     // The socket transport on loopback: coordinator + `workers` dialed-in
-    // worker threads, at a given claim window. The delta over the spooled
+    // worker threads, at a given claim window. The delta over the spawn0
     // entry is the cost of the framed TCP protocol — accept,
     // Hello/ClaimN/TaskBatch/Result round trips, heartbeats — on top of
-    // the same spool journal.
+    // the same journal.
     let tcp_fleet = |workers: usize, window: Option<usize>, iter: u64| {
         let spool = spool_base.join(format!("iter-{iter}"));
         let driver = TcpSweep::new(&spool, "127.0.0.1:0".to_string())
             .with_threads(1)
             .with_claim_window(window);
-        let n_results = crossbeam::thread::scope(|scope| {
-            let coord = scope.spawn(|_| driver.run(black_box(&grid)).unwrap().0.len());
+        let n_results = std::thread::scope(|scope| {
+            let coord = scope.spawn(|| driver.run(black_box(&grid)).unwrap().0.len());
             let addr = loop {
                 if let Some(a) = simcal_study::net::read_addr(&spool) {
                     break a;
@@ -69,7 +72,7 @@ fn bench_dist(c: &mut Criterion) {
             let fleet: Vec<_> = (0..workers)
                 .map(|_| {
                     let addr = addr.clone();
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         TcpWorker::new(addr)
                             .with_threads(1)
                             .with_claim_window(window)
@@ -82,8 +85,7 @@ fn bench_dist(c: &mut Criterion) {
                 worker.join().unwrap();
             }
             coord.join().unwrap()
-        })
-        .unwrap();
+        });
         std::fs::remove_dir_all(&spool).ok();
         n_results
     };

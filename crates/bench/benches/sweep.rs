@@ -37,7 +37,7 @@ fn bench_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// The raw 18-entry registry (no ICD expansion): the small-grid regime
+/// The raw builtin registry (no ICD expansion): the small-grid regime
 /// where per-shard overhead is most visible.
 fn bench_sweep_registry_only(c: &mut Criterion) {
     let grid = ScenarioRegistry::builtin().scenarios();

@@ -1,6 +1,6 @@
 //! Evaluation history and convergence curves.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// One completed objective evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,16 +28,20 @@ impl History {
         Self::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, Vec<EvalRecord>> {
+        self.records.lock().expect("history poisoned")
+    }
+
     /// Append a record (sequence number assigned automatically).
     pub fn push(&self, cost: f64, values: Vec<f64>, error: f64) {
-        let mut g = self.records.lock();
+        let mut g = self.lock();
         let seq = g.len() as u64;
         g.push(EvalRecord { seq, cost, values, error });
     }
 
     /// Number of recorded evaluations.
     pub fn len(&self) -> usize {
-        self.records.lock().len()
+        self.lock().len()
     }
 
     /// Whether no evaluations were recorded.
@@ -47,8 +51,7 @@ impl History {
 
     /// The best (lowest-error) record, ignoring non-finite errors.
     pub fn best(&self) -> Option<EvalRecord> {
-        self.records
-            .lock()
+        self.lock()
             .iter()
             .filter(|r| r.error.is_finite())
             .min_by(|a, b| a.error.total_cmp(&b.error))
@@ -58,7 +61,7 @@ impl History {
     /// Best-so-far curve: one `(cost, best_error)` point per evaluation, in
     /// completion order. Non-finite errors are carried over.
     pub fn best_curve(&self) -> Vec<(f64, f64)> {
-        let g = self.records.lock();
+        let g = self.lock();
         let mut best = f64::INFINITY;
         g.iter()
             .map(|r| {
@@ -72,7 +75,7 @@ impl History {
 
     /// Snapshot of all records.
     pub fn records(&self) -> Vec<EvalRecord> {
-        self.records.lock().clone()
+        self.lock().clone()
     }
 }
 

@@ -16,7 +16,7 @@
 //!   we additionally support deterministic evaluation-count and
 //!   simulated-cost budgets for reproducible experiments;
 //! * a **parallel evaluator** ([`Evaluator`]): the paper runs one
-//!   simulation per core of a 40-core node; we run a crossbeam worker pool
+//!   simulation per core of a 40-core node; we run a scoped worker pool
 //!   sized by `available_parallelism`;
 //! * the paper's **algorithms** ([`algorithms`]): grid search with
 //!   progressive midpoint refinement (GRID), random search (RANDOM), and

@@ -2,7 +2,7 @@
 //!
 //! The paper's calibrations execute "one simulation on each core of a
 //! dedicated ... 40-core CPU". The [`Evaluator`] reproduces that design: a
-//! scoped crossbeam worker pool pulls candidate points from a shared queue,
+//! scoped worker pool pulls candidate points from a shared queue,
 //! claims budget per point, evaluates, and records every result (with its
 //! cumulative cost) in the shared [`History`] — in batch order, so results
 //! do not depend on the worker count.
@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use std::sync::{mpsc, Mutex};
 
 use crate::budget::BudgetTracker;
 use crate::history::History;
@@ -96,16 +96,16 @@ impl<'a> Evaluator<'a> {
         // Claims are taken under the cursor lock, so the claimed points are
         // a prefix of the batch whatever the thread timing.
         let cursor = Mutex::new(0usize);
-        let (tx, rx) = crossbeam::channel::unbounded::<(usize, (Vec<f64>, f64, f64))>();
-        let slots = crossbeam::thread::scope(|scope| {
+        let (tx, rx) = mpsc::channel::<(usize, (Vec<f64>, f64, f64))>();
+        let slots = std::thread::scope(|scope| {
             for _ in 0..n_workers {
                 let tx = tx.clone();
                 let cursor = &cursor;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut ctx = self.checkout_context();
                     loop {
                         let i = {
-                            let mut next = cursor.lock();
+                            let mut next = cursor.lock().expect("cursor poisoned");
                             if *next >= unit_points.len() || !self.budget.try_claim() {
                                 break;
                             }
@@ -124,8 +124,7 @@ impl<'a> Evaluator<'a> {
                 slots[i] = Some(done);
             }
             slots
-        })
-        .expect("evaluation worker panicked");
+        });
 
         // Publish in batch order, so the history — and with it the best
         // point and the convergence curve — does not depend on which worker
@@ -165,12 +164,12 @@ impl<'a> Evaluator<'a> {
 
     /// Pop an idle context (or build a fresh one).
     fn checkout_context(&self) -> EvalContext {
-        self.contexts.lock().pop().unwrap_or_default()
+        self.contexts.lock().expect("context pool poisoned").pop().unwrap_or_default()
     }
 
     /// Park a context for the next batch's workers.
     fn return_context(&self, ctx: EvalContext) {
-        self.contexts.lock().push(ctx);
+        self.contexts.lock().expect("context pool poisoned").push(ctx);
     }
 }
 

@@ -18,8 +18,8 @@ use simcal_study::experiments::{
 use simcal_study::report::{ascii_table, write_csv, write_csv_commented};
 use simcal_study::sweep::SWEEP_CSV_SCHEMA;
 use simcal_study::{
-    dist, param_space, CaseObjective, CaseStudy, DistSweep, ExperimentContext, FamilyObjective,
-    FaultPlan, SweepResult, SweepRunner, TcpSweep, TcpWorker, WorkerOutcome, PARAM_NAMES,
+    param_space, CaseObjective, CaseStudy, ExperimentContext, FamilyObjective, FaultPlan,
+    SweepResult, SweepRunner, TcpSweep, TcpWorker, WorkerOutcome, PARAM_NAMES,
 };
 
 /// Parsed command line.
@@ -35,15 +35,15 @@ pub struct Options {
     pub fig2_cost: Option<f64>,
     pub seed: Option<u64>,
     pub workers: Option<usize>,
-    /// `sweep --distributed --stall-timeout SECS`: zero-progress window
-    /// before the coordinator presumes claim holders dead.
+    /// `sweep --distributed|--listen --stall-timeout SECS`: zero-progress
+    /// window before the coordinator presumes task holders dead.
     pub stall_timeout: Option<u64>,
     pub data_dir: PathBuf,
     pub out: Option<PathBuf>,
     pub reduced: bool,
-    /// `sweep --distributed`: run through the spooled multi-process driver.
+    /// `sweep --distributed`: a loopback coordinator with spawned workers.
     pub distributed: bool,
-    /// Spool directory for the distributed driver / `sweep-worker`.
+    /// The coordinator's journal directory (`--distributed`/`--listen`).
     pub spool: Option<PathBuf>,
     /// Worker processes the distributed coordinator spawns.
     pub spawn: Option<usize>,
@@ -94,8 +94,6 @@ enum Mode {
     Listen,
     /// `sweep-worker --connect`.
     Connect,
-    /// `sweep-worker SPOOL`.
-    SpoolWorker,
     /// Any other command.
     Other,
 }
@@ -107,7 +105,6 @@ impl Mode {
             Mode::Distributed => "`sweep --distributed`".to_string(),
             Mode::Listen => "`sweep --listen`".to_string(),
             Mode::Connect => "`sweep-worker --connect`".to_string(),
-            Mode::SpoolWorker => "`sweep-worker SPOOL`".to_string(),
             Mode::Other => format!("`{command}`"),
         }
     }
@@ -117,14 +114,14 @@ impl Mode {
 /// other mode rejects them: accepting a flag nothing reads would silently
 /// run something other than what was asked for.
 const FLAG_MODES: &[(&str, &[Mode])] = {
-    use Mode::{Connect, Distributed, Listen, Local, SpoolWorker};
+    use Mode::{Connect, Distributed, Listen, Local};
     &[
         ("--horizon", &[Local, Distributed, Listen]),
         ("--wan-model", &[Local, Distributed, Listen]),
         ("--distributed", &[Distributed]),
         ("--listen", &[Listen]),
         ("--connect", &[Connect]),
-        ("--spool", &[Distributed, Listen, SpoolWorker]),
+        ("--spool", &[Distributed, Listen]),
         ("--spawn", &[Distributed]),
         ("--resume", &[Distributed, Listen]),
         ("--stall-timeout", &[Distributed, Listen, Connect]),
@@ -280,8 +277,7 @@ impl Options {
                 (false, true) => Mode::Distributed,
                 (false, false) => Mode::Local,
             },
-            "sweep-worker" if self.connect.is_some() => Mode::Connect,
-            "sweep-worker" => Mode::SpoolWorker,
+            "sweep-worker" => Mode::Connect,
             _ => Mode::Other,
         })
     }
@@ -390,17 +386,20 @@ Scenario commands:
   sweep [PATTERN]               run matching registry scenarios through the
                                 sharded parallel sweep driver
   sweep [PATTERN] --distributed --spool DIR [--spawn N]
-                                spool the grid to DIR and sweep it with N
-                                spawned worker processes (plus this one);
-                                results are bit-identical to the local driver
+                                serve the sweep on a loopback port to N
+                                spawned `sweep-worker --connect` processes,
+                                draining it alongside them; results are
+                                journaled to DIR and bit-identical to the
+                                local driver
   sweep [PATTERN] --listen ADDR --spool DIR
                                 serve the sweep over TCP: an elastic fleet of
                                 `sweep-worker --connect` processes dials in;
                                 the bound address is published to DIR/addr
                                 (host:0 picks a free port)
-  sweep-worker --connect ADDR   dial a TCP coordinator, claim tasks over the
-                                socket, stream results back (reconnects with
-                                backoff; heartbeats keep the claim alive)
+  sweep-worker --connect ADDR   dial a coordinator (its DIR/addr), claim tasks
+                                over the socket, stream results back
+                                (reconnects with backoff; heartbeats keep the
+                                claim alive)
   calibrate PLATFORM            fit the 4-parameter space to one platform's
                                 ground truth (scfn|fcfn|scsn|fcsn)
   calibrate --family PATTERN    fit one parameter set against every matching
@@ -430,12 +429,13 @@ Options:
                                 to maxmin, for artifact comparison); `sweep`
                                 only
   --stall-timeout SECS          distributed sweep zero-progress window before
-                                orphaned claims are requeued (default 30);
-                                for TCP also the per-connection heartbeat
-                                deadline (and the worker's reply patience)
+                                unfinished tasks are requeued and drained
+                                locally (default 30); also the per-connection
+                                heartbeat deadline (and the worker's reply
+                                patience)
   --resume                      reuse a crashed coordinator's spool: validate
-                                the manifest, requeue orphaned claims, keep
-                                finished results (with --distributed/--listen)
+                                the manifest, keep finished results, queue
+                                the rest (with --distributed/--listen)
   --fault SPEC                  sweep-worker fault injection: kill-after=N,
                                 drop-frame=N, truncate-frame=N,
                                 partition-after=N, delay-every=KxMS,
@@ -450,7 +450,7 @@ Options:
                                 other than loopback)
   --algo NAME                   calibrate algorithm (random|grid|coordinate|
                                 anneal|nelder-mead|bayes; default random)
-  --spool DIR / --spawn N       distributed sweep spool and worker count
+  --spool DIR / --spawn N       distributed sweep journal and worker count
   --data-dir PATH               ground-truth CSV cache (default data/groundtruth)
   --out DIR                     also write CSV artifacts to DIR
   --reduced                     reduced-scale case study / scenario registry
@@ -531,9 +531,10 @@ fn run_scenarios(opts: &Options) -> Result<(), String> {
 }
 
 /// `sweep [PATTERN]`: run matching scenarios through the in-process sweep
-/// driver, or — with `--distributed --spool DIR [--spawn N]` — through the
-/// multi-process spooled coordinator. Both paths produce bit-identical
-/// results and byte-identical `--out` artifacts.
+/// driver, or through the TCP coordinator — serving a fleet that dials in
+/// (`--listen ADDR`), or a loopback fleet it spawns and drains alongside
+/// (`--distributed --spawn N`). Every path produces bit-identical results
+/// and byte-identical `--out` artifacts.
 fn run_sweep(opts: &Options) -> Result<(), String> {
     let reg = registry_for(opts);
     let pat = scenario_pattern(opts);
@@ -586,10 +587,15 @@ fn run_sweep(opts: &Options) -> Result<(), String> {
         }
     }
     let t0 = Instant::now();
-    let (results, mode) = if let Some(listen) = &opts.listen {
-        let spool = opts.spool.as_ref().ok_or("--listen needs --spool DIR")?;
+    let (results, mode) = if opts.listen.is_some() || opts.distributed {
+        let spool = opts.spool.as_ref().ok_or(if opts.distributed {
+            "--distributed needs --spool DIR"
+        } else {
+            "--listen needs --spool DIR"
+        })?;
         let threads = opts.workers.unwrap_or(1);
-        let mut driver = TcpSweep::new(spool, listen.clone())
+        let listen = opts.listen.clone().unwrap_or_else(|| "127.0.0.1:0".to_string());
+        let mut driver = TcpSweep::new(spool, listen)
             .with_threads(threads)
             .with_resume(opts.resume)
             .with_claim_window(opts.claim_window);
@@ -602,47 +608,32 @@ fn run_sweep(opts: &Options) -> Result<(), String> {
         if let Some(token) = &opts.auth_token {
             driver = driver.with_auth_token(token.clone());
         }
+        let spawn = opts.spawn.unwrap_or(0);
+        if opts.distributed {
+            let exe = std::env::current_exe().map_err(|e| format!("current exe: {e}"))?;
+            let worker_args = ["sweep-worker", "--workers", &threads.to_string()];
+            driver = driver
+                .with_spawn(spawn)
+                .with_worker_command(exe, worker_args.map(String::from).to_vec());
+        }
         let (results, summary) = driver.run(&grid).map_err(|e| e.to_string())?;
         if !summary.is_clean() {
             eprintln!("[simcal-exp] recovery summary: {summary}");
         }
-        for report in &summary.per_worker {
-            eprintln!("[simcal-exp] worker {report}");
+        if opts.distributed {
+            (results, format!("{} worker process(es) x {threads} thread(s)", spawn + 1))
+        } else {
+            for report in &summary.per_worker {
+                eprintln!("[simcal-exp] worker {report}");
+            }
+            (
+                results,
+                format!(
+                    "tcp fleet ({} connection(s), {} left cleanly, {} dead)",
+                    summary.workers_joined, summary.workers_left, summary.dead_workers
+                ),
+            )
         }
-        (
-            results,
-            format!(
-                "tcp fleet ({} connection(s), {} left cleanly, {} dead)",
-                summary.workers_joined, summary.workers_left, summary.dead_workers
-            ),
-        )
-    } else if opts.distributed {
-        let spool = opts.spool.as_ref().ok_or("--distributed needs --spool DIR")?;
-        let spawn = opts.spawn.unwrap_or(0);
-        let threads = opts.workers.unwrap_or(1);
-        let mut driver =
-            DistSweep::new(spool).with_spawn(spawn).with_threads(threads).with_resume(opts.resume);
-        if let Some(secs) = opts.stall_timeout {
-            driver = driver.with_stall_timeout(std::time::Duration::from_secs(secs));
-        }
-        if let Some(seed) = opts.seed {
-            driver = driver.with_seed(seed);
-        }
-        if spawn > 0 {
-            let exe = std::env::current_exe().map_err(|e| format!("current exe: {e}"))?;
-            let worker_args = vec![
-                "sweep-worker".to_string(),
-                spool.display().to_string(),
-                "--workers".to_string(),
-                threads.to_string(),
-            ];
-            driver = driver.with_worker_command(exe, worker_args);
-        }
-        let (results, summary) = driver.run_summarized(&grid).map_err(|e| e.to_string())?;
-        if !summary.is_clean() {
-            eprintln!("[simcal-exp] recovery summary: {summary}");
-        }
-        (results, format!("{} worker process(es) x {threads} thread(s)", spawn + 1))
     } else {
         let mut runner = SweepRunner::new();
         if let Some(w) = opts.workers {
@@ -741,54 +732,45 @@ fn write_sweep_csv(path: &std::path::Path, results: &[SweepResult]) -> Result<()
         .map_err(|e| e.to_string())
 }
 
-/// The `sweep-worker` subcommand: with `--connect ADDR`, dial a TCP
-/// coordinator and claim tasks over the socket; with a spool path (what
-/// the distributed coordinator spawns), drain the spool's task queue
-/// directly. Either way: run tasks, deliver results, exit.
+/// The `sweep-worker` subcommand: dial the coordinator at `--connect ADDR`,
+/// claim tasks over the socket, run them, stream results back, exit when
+/// drained.
 fn run_sweep_worker(opts: &Options) -> Result<(), String> {
-    let threads = opts.workers.unwrap_or(1);
-    if let Some(addr) = &opts.connect {
-        let mut worker = TcpWorker::new(addr.clone())
-            .with_threads(threads)
-            .with_name(format!("pid-{}", std::process::id()))
-            .with_claim_window(opts.claim_window);
-        if let Some(seed) = opts.seed {
-            worker = worker.with_seed(seed);
-        }
-        if let Some(token) = &opts.auth_token {
-            worker = worker.with_auth_token(token.clone());
-        }
-        if let Some(n) = opts.max_tasks {
-            worker = worker.with_max_tasks(n);
-        }
-        if let Some(secs) = opts.stall_timeout {
-            worker = worker.with_patience(std::time::Duration::from_secs(secs));
-        }
-        if let Some(spec) = &opts.fault {
-            let plan = FaultPlan::parse(spec).map_err(|e| format!("--fault: {e}"))?;
-            eprintln!("[simcal-exp] sweep-worker fault plan: {plan}");
-            worker = worker.with_fault(plan);
-        }
-        match worker.run().map_err(|e| e.to_string())? {
-            WorkerOutcome::Drained { completed } => {
-                eprintln!("[simcal-exp] sweep-worker drained after {completed} task(s) via {addr}")
-            }
-            WorkerOutcome::Killed { completed } => {
-                eprintln!(
-                    "[simcal-exp] sweep-worker killed by its fault plan after {completed} task(s)"
-                )
-            }
-        }
-        return Ok(());
+    let addr = opts.connect.as_ref().ok_or(
+        "sweep-worker needs --connect ADDR (the coordinator's address, published in its \
+         SPOOL/addr)",
+    )?;
+    let mut worker = TcpWorker::new(addr.clone())
+        .with_threads(opts.workers.unwrap_or(1))
+        .with_name(format!("pid-{}", std::process::id()))
+        .with_claim_window(opts.claim_window);
+    if let Some(seed) = opts.seed {
+        worker = worker.with_seed(seed);
     }
-    let spool = opts
-        .args
-        .first()
-        .map(PathBuf::from)
-        .or_else(|| opts.spool.clone())
-        .ok_or("sweep-worker needs a spool directory or --connect ADDR")?;
-    let n = dist::run_worker(&spool, threads).map_err(|e| e.to_string())?;
-    eprintln!("[simcal-exp] sweep-worker drained {n} task(s) from {}", spool.display());
+    if let Some(token) = &opts.auth_token {
+        worker = worker.with_auth_token(token.clone());
+    }
+    if let Some(n) = opts.max_tasks {
+        worker = worker.with_max_tasks(n);
+    }
+    if let Some(secs) = opts.stall_timeout {
+        worker = worker.with_patience(std::time::Duration::from_secs(secs));
+    }
+    if let Some(spec) = &opts.fault {
+        let plan = FaultPlan::parse(spec).map_err(|e| format!("--fault: {e}"))?;
+        eprintln!("[simcal-exp] sweep-worker fault plan: {plan}");
+        worker = worker.with_fault(plan);
+    }
+    match worker.run().map_err(|e| e.to_string())? {
+        WorkerOutcome::Drained { completed } => {
+            eprintln!("[simcal-exp] sweep-worker drained after {completed} task(s) via {addr}")
+        }
+        WorkerOutcome::Killed { completed } => {
+            eprintln!(
+                "[simcal-exp] sweep-worker killed by its fault plan after {completed} task(s)"
+            )
+        }
+    }
     Ok(())
 }
 
@@ -1181,8 +1163,10 @@ mod tests {
         assert_eq!(o.evals, Some(9));
         let o = parse(&["calibrate", "scsn"]).unwrap();
         assert_eq!(o.args, vec!["scsn"]);
+        // The spool-reading worker is gone: a spool path is no way to
+        // reach a coordinator, and the error says what is.
         let o = parse(&["sweep-worker", "/tmp/spool", "--workers", "2"]).unwrap();
-        assert_eq!(o.args, vec!["/tmp/spool"]);
+        assert!(run_sweep_worker(&o).unwrap_err().contains("--connect ADDR"));
         assert!(parse(&["sweep", "--spawn", "x"]).is_err());
     }
 
@@ -1328,8 +1312,8 @@ mod tests {
         ])
         .unwrap();
         let spool_dir = spool.clone();
-        crossbeam::thread::scope(|scope| {
-            let coord = scope.spawn(move |_| run_sweep(&coordinator));
+        std::thread::scope(|scope| {
+            let coord = scope.spawn(move || run_sweep(&coordinator));
             let addr = loop {
                 if let Some(a) = simcal_study::net::read_addr(&spool_dir) {
                     break a;
@@ -1351,8 +1335,7 @@ mod tests {
             .unwrap();
             run_sweep_worker(&worker).unwrap();
             coord.join().expect("coordinator thread").unwrap();
-        })
-        .expect("tcp cli scope");
+        });
         let a = std::fs::read(out_local.join("sweep.csv")).unwrap();
         let b = std::fs::read(out_tcp.join("sweep.csv")).unwrap();
         assert_eq!(a, b, "TCP sweep artifact must be byte-identical to local");
@@ -1377,7 +1360,7 @@ mod tests {
         ])
         .unwrap();
         run_sweep(&o).unwrap();
-        // Spawn 0: the coordinator drains the spool itself (the spawned
+        // Spawn 0: the coordinator drains the queue itself (the spawned
         // multi-process path is exercised end-to-end in tests/distributed.rs).
         let o = parse(&[
             "sweep",
@@ -1513,7 +1496,6 @@ mod tests {
             &["sweep-worker", "--connect", "a:1", "--stall-timeout", "5", "--claim-window", "4"],
             &["sweep-worker", "--connect", "a:1", "--auth-token", "t", "--fault", "seed=1"],
             &["sweep-worker", "--connect", "a:1", "--max-tasks", "2", "--workers", "2"],
-            &["sweep-worker", "--spool", "d", "--workers", "2"],
         ] {
             assert_eq!(check(args), Ok(()), "{args:?}");
         }
@@ -1525,9 +1507,8 @@ mod tests {
             (&["sweep-worker", "--connect", "a:1", "--spool", "d"], "--spool", "--connect"),
             (&["sweep-worker", "--connect", "a:1", "--resume"], "--resume", "--connect"),
             (&["sweep-worker", "--connect", "a:1", "--distributed"], "--distributed", "--connect"),
-            (&["sweep-worker", "d", "--claim-window", "4"], "--claim-window", "SPOOL"),
-            (&["sweep-worker", "d", "--stall-timeout", "5"], "--stall-timeout", "SPOOL"),
-            (&["sweep-worker", "--listen", "a:1"], "--listen", "SPOOL"),
+            (&["sweep-worker", "--spool", "d", "--workers", "2"], "--spool", "--connect"),
+            (&["sweep-worker", "--listen", "a:1"], "--listen", "--connect"),
             (&["table3", "--spool", "d"], "--spool", "`table3`"),
         ] {
             let err = check(args).unwrap_err();

@@ -1,22 +1,28 @@
 //! Distributed-equals-local oracle: sweeping the reduced registry through
-//! the spooled multi-process driver — at 1, 2, and 3 worker processes,
-//! each with 2 sweep threads — must produce merged CSV artifacts that are
+//! `sweep --distributed --spawn N` — the coordinator on a loopback port,
+//! draining alongside N spawned `sweep-worker --connect` processes, each
+//! with 2 sweep threads — must produce merged CSV artifacts that are
 //! **byte-identical** to the single-process `SweepRunner` path, and hence
 //! identical per-scenario FNV trace hashes.
 //!
 //! This drives the real binary (`CARGO_BIN_EXE_simcal-exp`), so the
-//! coordinator genuinely `exec`s its workers and the claim protocol runs
-//! across real process boundaries on the real filesystem.
+//! coordinator genuinely `exec`s its workers and the protocol runs across
+//! real process boundaries over real sockets.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Output};
+use std::time::{Duration, Instant};
 
 fn exe() -> &'static str {
     env!("CARGO_BIN_EXE_simcal-exp")
 }
 
+fn output(args: &[&str]) -> Output {
+    Command::new(exe()).args(args).output().expect("spawn simcal-exp")
+}
+
 fn run(args: &[&str]) {
-    let out = Command::new(exe()).args(args).output().expect("spawn simcal-exp");
+    let out = output(args);
     assert!(
         out.status.success(),
         "simcal-exp {args:?} failed:\n{}",
@@ -83,37 +89,37 @@ fn distributed_sweep_is_bit_identical_to_local_at_any_process_count() {
             spawn + 1
         );
         assert_eq!(hashes(&out.join("sweep.csv")), local_hashes, "{tag}: trace hashes differ");
-        // The spool is fully drained: no task left behind, every task
-        // claimed, one result per task.
+        // The spool is a journal only: one result per task, and no task
+        // queue on disk.
         let count = |dir: &str| std::fs::read_dir(spool.join(dir)).unwrap().count();
-        assert_eq!(count("tasks"), 0, "{tag}: tasks left unclaimed");
-        assert_eq!(count("claimed"), local_hashes.len(), "{tag}: claim tombstones");
         assert_eq!(count("results"), local_hashes.len(), "{tag}: results");
+        assert!(!spool.join("tasks").exists(), "{tag}: a tasks/ directory");
+        assert!(!spool.join("claimed").exists(), "{tag}: a claimed/ directory");
     }
 
     std::fs::remove_dir_all(&base).ok();
 }
 
 #[test]
-fn external_workers_can_join_a_spool_mid_sweep() {
-    // A worker attached by hand (the documented "any number of worker
-    // processes on a shared filesystem" mode): coordinator with
-    // --spawn 1 while we also run `sweep-worker` on the same spool from
-    // here. Between them the sweep must still complete exactly once with
-    // the local driver's results.
+fn external_workers_can_join_a_spawning_coordinator() {
+    // A worker attached by hand: a `--distributed --spawn 1` coordinator
+    // publishes its loopback address in SPOOL/addr, and a `sweep-worker
+    // --connect` started from here dials it. Between the three executors
+    // the sweep must still merge to the local driver's artifact. The
+    // full-size steady family (~0.1 s per scenario) keeps the sweep
+    // running long enough for the late worker to reach it.
     let base = base_dir().join("external");
     std::fs::remove_dir_all(&base).ok();
 
     let local_out = base.join("local");
-    run(&["sweep", "straggler", "--reduced", "--out", local_out.to_str().unwrap()]);
+    run(&["sweep", "steady", "--out", local_out.to_str().unwrap()]);
 
     let spool = base.join("spool");
     let out = base.join("out");
     let mut coordinator = Command::new(exe())
         .args([
             "sweep",
-            "straggler",
-            "--reduced",
+            "steady",
             "--distributed",
             "--spool",
             spool.to_str().unwrap(),
@@ -124,16 +130,21 @@ fn external_workers_can_join_a_spool_mid_sweep() {
         ])
         .spawn()
         .expect("spawn coordinator");
-    // Wait for the spool manifest (written after all task files), then
-    // steal from outside the coordinator's process tree.
-    for _ in 0..200 {
-        if spool.join("manifest.json").exists() {
-            break;
+    // Dial the published address from outside the coordinator's process
+    // tree. The sweep may already be over when we get there: a worker
+    // that finds nobody listening is not a failure of the sweep.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let addr = loop {
+        match std::fs::read_to_string(spool.join("addr")) {
+            Ok(addr) if !addr.trim().is_empty() => break Some(addr.trim().to_string()),
+            _ if Instant::now() > deadline => break None,
+            _ => std::thread::sleep(Duration::from_millis(5)),
         }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    if spool.join("manifest.json").exists() {
-        run(&["sweep-worker", spool.to_str().unwrap(), "--workers", "1"]);
+    };
+    if let Some(addr) = addr {
+        let worker = output(&["sweep-worker", "--connect", &addr, "--workers", "1"]);
+        let stderr = String::from_utf8_lossy(&worker.stderr);
+        assert!(worker.status.success() || stderr.contains(&addr), "worker: {stderr}");
     }
     assert!(coordinator.wait().expect("coordinator exits").success());
     assert_eq!(
@@ -142,4 +153,15 @@ fn external_workers_can_join_a_spool_mid_sweep() {
         "externally-assisted sweep must merge to the local artifact"
     );
     std::fs::remove_dir_all(&base).ok();
+}
+
+#[test]
+fn a_spool_path_is_not_a_way_to_reach_a_coordinator() {
+    // A spool path is no way to reach a coordinator: `sweep-worker SPOOL`
+    // fails and names the flag that is.
+    let spool = base_dir().join("no-connect");
+    let out = output(&["sweep-worker", spool.to_str().unwrap(), "--workers", "1"]);
+    assert!(!out.status.success(), "sweep-worker SPOOL ran");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--connect"), "unhelpful error: {stderr}");
 }

@@ -1521,9 +1521,9 @@ pub fn encode_result_msg(index: u64, sum: u64, payload: &str) -> String {
 /// Encode a `TaskBatch` message around **already-serialized** scenarios,
 /// byte-identical to `encode_msg(&WireMsg::TaskBatch { .. })` with the
 /// parsed equivalents. The grant-side twin of [`encode_result_msg`]: a
-/// coordinator forwarding spool records verbatim never re-serializes the
-/// scenarios it just read.
-pub fn encode_task_batch_msg(tasks: &[(u64, String)]) -> String {
+/// coordinator encodes each scenario once and splices that text into
+/// every grant that carries it.
+pub fn encode_task_batch_msg(tasks: &[(u64, &str)]) -> String {
     use std::fmt::Write as _;
     let mut out = format!("{{\"v\":{CODEC_VERSION},\"type\":\"task-batch\",\"tasks\":[");
     for (i, (index, scenario)) in tasks.iter().enumerate() {
@@ -2046,7 +2046,7 @@ mod tests {
         ]);
         let b = Json::Str("degenerate \"scenario\"\n".into());
         assert_eq!(
-            encode_task_batch_msg(&[(0, a.write()), (u64::MAX, b.write())]),
+            encode_task_batch_msg(&[(0, &a.write()), (u64::MAX, &b.write())]),
             encode_msg(&WireMsg::TaskBatch { tasks: vec![(0, a.clone()), (u64::MAX, b)] })
         );
         assert_eq!(

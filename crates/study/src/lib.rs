@@ -31,9 +31,9 @@ pub mod sweep;
 pub use backoff::Backoff;
 pub use case::CaseStudy;
 pub use context::ExperimentContext;
-pub use dist::{DistError, DistSummary, DistSweep};
+pub use dist::DistError;
 pub use family::{FamilyMember, FamilyObjective};
 pub use human::HumanCalibration;
 pub use net::{FaultPlan, TcpSummary, TcpSweep, TcpWorker, WorkerOutcome, WorkerReport};
 pub use objective::{param_space, CaseObjective, Metric, PARAM_NAMES};
-pub use sweep::{GridSource, ShardSource, SweepResult, SweepRunner};
+pub use sweep::{SweepResult, SweepRunner};

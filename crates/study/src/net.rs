@@ -1,15 +1,17 @@
-//! TCP transport for the spooled distributed sweep: an elastic worker
-//! fleet over sockets, with heartbeats and deterministic fault injection.
+//! The distributed sweep: one coordinator handing tasks out over TCP to
+//! an elastic worker fleet, with heartbeats and deterministic fault
+//! injection.
 //!
-//! The spool protocol in [`crate::dist`] shares work through a
-//! filesystem; this module adds the transport the paper's WAN-scale
-//! deployments need: the coordinator ([`TcpSweep`]) listens on a socket,
-//! workers ([`TcpWorker`]) dial in from anywhere, and tasks, results, and
-//! heartbeats flow as length-prefixed [`simcal_sim::codec`] frames
-//! ([`WireMsg`]). The spool stays underneath as the durable journal —
-//! every accepted result is written through [`crate::dist`]'s checksummed,
-//! atomically-renamed result files, so a crashed coordinator resumes with
-//! [`TcpSweep::with_resume`] exactly like the filesystem transport does.
+//! The coordinator ([`TcpSweep`]) keeps the grid's task queue in memory
+//! and listens on a socket; workers ([`TcpWorker`]) dial in from anywhere
+//! and tasks, results, and heartbeats flow as length-prefixed
+//! [`simcal_sim::codec`] frames ([`WireMsg`]). `sweep --listen ADDR`
+//! serves whoever dials in; `sweep --distributed --spawn N` listens on
+//! loopback, spawns N `sweep-worker --connect` processes and drains the
+//! queue alongside them. The spool ([`crate::dist`]) is only the durable
+//! journal: every accepted result is written to a checksummed,
+//! atomically-renamed result file, and a crashed coordinator resumes with
+//! [`TcpSweep::with_resume`], queueing only the tasks without one.
 //!
 //! ## Protocol
 //!
@@ -21,18 +23,21 @@
 //! compute. The coordinator tracks a per-connection in-flight *set* and
 //! never lets it grow past the connection's claim window: one fixed size,
 //! [`DEFAULT_CLAIM_WINDOW`] unless `--claim-window N` pins another, set
-//! when the connection opens and never changed. A claim the window (or a
-//! momentarily dry spool) cannot satisfy is **parked**, not refused: the
+//! when the connection opens and never changed. A claim the window (or an
+//! empty queue) cannot satisfy is **parked**, not refused: the
 //! coordinator withholds the grant and retries it on every accepted
-//! result, heartbeat, and poll tick, answering dry spells with
+//! result, heartbeat, and poll tick, answering an empty queue with
 //! `Heartbeat` liveness frames so the waiting worker never burns a
-//! backoff sleep. `Drain` means "no work will ever come; goodbye",
-//! answered with `Bye`. A background ticker on each worker connection
-//! sends `Heartbeat` frames at a fixed interval so the coordinator can
-//! tell slow from dead. Every frame is checked against the codec version
-//! policy ([`simcal_sim::codec::CODEC_VERSION`]): a peer speaking an
-//! older wire version (such as the retired lock-step `claim`/`task`
-//! protocol) fails to decode and its connection is cut and counted dead.
+//! backoff sleep. Whoever journals the sweep's final result sends every
+//! parked connection `Drain` at once, so a fleet of any size finishes
+//! when its last result lands. `Drain` means "no work will ever come;
+//! goodbye", answered with `Bye`. A background ticker on each worker
+//! connection sends `Heartbeat` frames at a fixed interval so the
+//! coordinator can tell slow from dead. Every frame is checked against
+//! the codec version policy ([`simcal_sim::codec::CODEC_VERSION`]): a
+//! peer speaking an older wire version (such as the retired lock-step
+//! `claim`/`task` protocol) fails to decode and its connection is cut and
+//! counted dead.
 //!
 //! When the coordinator is started with an auth token it opens every
 //! connection with `AuthChallenge { nonce }` and serves no tasks (and
@@ -44,25 +49,22 @@
 //!
 //! ## Failure handling
 //!
-//! The in-flight-set generalization of PR 7's race-free loss argument:
-//! a worker's `ClaimN.holding` lists every task it has claimed on this
+//! A worker's `ClaimN.holding` lists every task it has claimed on this
 //! connection but not yet resulted, and frames on one socket are
 //! ordered, so any outstanding task *missing* from an arriving claim's
 //! `holding` can no longer produce a result — its `Result` frame was
 //! lost. Those tasks are requeued on the spot.
 //! The *whole* outstanding window is requeued when the connection dies,
-//! the heartbeat deadline lapses with no frame (the same
-//! `--stall-timeout` knob the process transport uses), or a corrupt
-//! repeat-offender gets cut. Corrupt `Result` frames (bad checksum,
-//! undecodable payload, name mismatch) are counted, requeued once, and
-//! cut the connection on a repeat. If the whole fleet goes quiet for a
-//! stall window the coordinator requeues all orphans and drains the
-//! spool locally, so the sweep terminates within one stall window of
-//! the last external progress no matter what the workers do. Workers
-//! reconnect through the shared seeded
-//! [`Backoff`] dialer, dropping their local
-//! queue (the coordinator requeues that window — recomputing is safe,
-//! double-journaling is impossible).
+//! the heartbeat deadline lapses with no frame (`--stall-timeout`), or a
+//! corrupt repeat-offender gets cut. Corrupt `Result` frames (bad
+//! checksum, undecodable payload, name mismatch) are counted, requeued
+//! once, and cut the connection on a repeat. If the whole fleet goes
+//! quiet for a stall window the coordinator queues every unfinished task
+//! again and drains it locally, so the sweep terminates within one stall
+//! window of the last progress no matter what the workers do. Workers
+//! reconnect through the shared seeded [`Backoff`] dialer, dropping their
+//! local queue (the coordinator requeues that window — recomputing is
+//! safe, and a second result for a task is not journaled twice).
 //!
 //! ## Fault injection
 //!
@@ -74,27 +76,27 @@
 //! merged results stay bit-identical to a local [`SweepRunner`] run under
 //! every schedule.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use simcal_sim::codec::{
-    encode_msg, encode_result_msg, encode_task_batch_msg, read_frame, scenario_from_json,
-    write_frame, write_frame_text, FrameError, Json, WireMsg,
+    encode_msg, encode_result_msg, encode_scenario, encode_task_batch_msg, read_frame,
+    scenario_from_json, write_frame, write_frame_text, FrameError, Json, WireMsg,
 };
 use simcal_sim::Scenario;
 
 use crate::auth;
 use crate::backoff::Backoff;
 use crate::dist::{
-    count_results, fnv1a, merge_results, requeue_orphans, requeue_task, result_path, resume_spool,
-    run_worker, spool_tasks, sweep_result_from_json, sweep_result_to_json, unfinished_claims,
-    write_atomic, write_result_text, DistError, SpoolSource,
+    corrupt_result_index, create_spool, discard_result, fnv1a, merge_results, reopen_spool,
+    sweep_result_from_json, sweep_result_to_json, write_atomic, write_result_text, DistError,
 };
 use crate::sweep::{SweepResult, SweepRunner};
 
@@ -114,7 +116,7 @@ const ACCEPT_POLL_CAP: Duration = Duration::from_millis(5);
 const DRAIN_WAIT: Duration = Duration::from_secs(1);
 
 /// Local-drain recovery rounds before the coordinator gives up and lets
-/// the merge report what is missing (mirrors `dist::MAX_RECOVERIES`).
+/// the merge report what is missing.
 const MAX_RECOVERIES: u32 = 3;
 
 /// The claim window of every connection that `--claim-window N` does not
@@ -325,9 +327,10 @@ impl std::fmt::Display for WorkerReport {
 /// and every recovery path's counter.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct TcpSummary {
-    /// Corrupt `Result` frames (or spooled records) discarded.
+    /// Corrupt `Result` frames (or journal records) discarded.
     pub corrupt_results: usize,
-    /// Tasks put back in the queue after their worker lost them.
+    /// Tasks put back in the queue after their worker lost them (on
+    /// resume: every task without a journaled result).
     pub requeued_tasks: usize,
     /// `Hello` frames received (connections that introduced themselves).
     pub workers_joined: usize,
@@ -338,8 +341,8 @@ pub struct TcpSummary {
     pub dead_workers: usize,
     /// Connections refused for a wrong or missing auth proof.
     pub auth_rejects: usize,
-    /// Stall-recovery rounds where the coordinator drained the spool
-    /// locally because the fleet went quiet.
+    /// Stall-recovery rounds where the coordinator requeued every
+    /// unfinished task because no result landed for a stall window.
     pub recoveries: u32,
     /// One transport report per connection that said `Hello`, in
     /// connection order.
@@ -390,17 +393,15 @@ enum Close {
     Rejected,
 }
 
-/// A claim's answer, from the coordinator's shared state.
+/// A claim's answer, from the coordinator's task queue.
 enum Grant {
-    /// Hand out these tasks (scenarios still in wire text; never empty).
-    Tasks(Vec<(usize, String)>),
-    /// Queue empty but claims still unfinished: worker should back off
-    /// and re-claim.
+    /// Hand out these task indices (never empty).
+    Tasks(Vec<usize>),
+    /// Queue empty but tasks still unfinished: the claim stays parked.
     Wait,
-    /// Everything is done; drain the worker.
+    /// Every task has a result (or the coordinator gave up); drain the
+    /// worker.
     Drain,
-    /// Shared state hit a fatal error; close the connection.
-    Fatal,
 }
 
 /// A byte-and-frame-counting wrapper around one connection's stream.
@@ -462,6 +463,8 @@ impl std::io::Write for Metered<'_> {
 /// Per-connection coordinator state: the in-flight set, the window, and
 /// the auth gate.
 struct ConnState {
+    /// The connection's ordinal, its key among the parked connections.
+    id: u64,
     /// Task indices granted on this connection with no result yet.
     outstanding: HashSet<usize>,
     /// Most tasks `outstanding` may hold at once.
@@ -480,11 +483,15 @@ struct ConnState {
     /// next accepted result frees a slot and triggers the grant, so
     /// a window of 1 never pays a backoff sleep between tasks.
     deferred: u64,
+    /// The last grant attempt found the queue empty: the demand is
+    /// parked until a task is requeued or the sweep ends.
+    waiting: bool,
 }
 
 impl ConnState {
-    fn new(window: usize, authed: bool, nonce: u64) -> Self {
+    fn new(id: u64, window: usize, authed: bool, nonce: u64) -> Self {
         Self {
+            id,
             outstanding: HashSet::new(),
             window,
             name: String::new(),
@@ -494,6 +501,7 @@ impl ConnState {
             preauth_claims: 0,
             nonce,
             deferred: 0,
+            waiting: false,
         }
     }
 
@@ -511,14 +519,75 @@ impl ConnState {
     }
 }
 
-/// State shared between the accept/monitor loop and every connection
-/// handler thread.
-struct CoordShared {
+/// The sweep's task queue and completion record, behind one lock.
+struct Tasks {
+    /// Task indices waiting to be handed out, oldest first.
+    pending: VecDeque<usize>,
+    /// `queued[i]`: task `i` is in `pending`.
+    queued: Vec<bool>,
+    /// `journaled[i]`: task `i` has a result in the spool.
+    journaled: Vec<bool>,
+    /// How many tasks have a result.
+    results: usize,
+    /// Every task has a result, or the coordinator gave up: claims are
+    /// answered with `Drain` from here on.
+    done: bool,
+}
+
+impl Tasks {
+    /// The queue of every task `journaled` marks as still without a result.
+    fn new(journaled: Vec<bool>) -> Self {
+        let pending: VecDeque<usize> = (0..journaled.len()).filter(|&i| !journaled[i]).collect();
+        let queued = journaled.iter().map(|j| !j).collect();
+        let results = journaled.len() - pending.len();
+        Self { done: pending.is_empty(), pending, queued, journaled, results }
+    }
+
+    /// The next queued task still without a result.
+    fn pop(&mut self) -> Option<usize> {
+        while let Some(index) = self.pending.pop_front() {
+            self.queued[index] = false;
+            if !self.journaled[index] {
+                return Some(index);
+            }
+        }
+        None
+    }
+
+    /// Queue `index` again, unless it has a result or is queued already.
+    fn requeue(&mut self, index: usize) -> bool {
+        if self.journaled[index] || self.queued[index] {
+            return false;
+        }
+        self.queued[index] = true;
+        self.pending.push_back(index);
+        true
+    }
+}
+
+/// State shared between the accept/monitor loop, every connection handler
+/// thread, and the local drain.
+struct CoordShared<'g> {
     spool: PathBuf,
-    /// Manifest scenario names, indexed by task index.
-    names: Vec<String>,
-    source: SpoolSource,
-    done: AtomicBool,
+    grid: &'g [Scenario],
+    /// Each scenario's wire text, encoded on its first grant and reused by
+    /// every later one.
+    texts: Vec<OnceLock<String>>,
+    tasks: Mutex<Tasks>,
+    /// Signalled when a task is requeued and when the sweep ends: wakes
+    /// idle local-drain threads and the monitor.
+    changed: Condvar,
+    /// Connections whose claim is parked on an empty queue, blocked in a
+    /// read. The thread that ends the sweep sends each of them `Drain`
+    /// under this lock, so a parked worker learns of the end the moment
+    /// the last result lands, not a [`HANDLER_POLL`] later. A handler
+    /// leaves the map (taking the lock, so a `Drain` being written to its
+    /// socket completes first) before it writes anything itself.
+    parked: Mutex<HashMap<u64, Arc<TcpStream>>>,
+    /// The runner for tasks this process executes itself.
+    runner: SweepRunner,
+    /// Threads of the local drain.
+    threads: usize,
     stall: Duration,
     /// Every connection's claim window.
     claim_window: usize,
@@ -527,23 +596,6 @@ struct CoordShared {
     fatal: Mutex<Option<DistError>>,
     /// Task indices already forgiven one corrupt result.
     corrupt_seen: Mutex<HashSet<usize>>,
-    /// Results journaled over the socket — the monitor loop's cue to
-    /// re-scan the results directory, so an idle tick costs an atomic
-    /// load instead of a directory walk.
-    journaled: AtomicUsize,
-    /// Distinct result files on disk (seeded with what a resume found).
-    /// When it reaches `names.len()`, the journaling handler flips
-    /// `done` itself — completion is detected the moment the last
-    /// result lands, not a poll tick later. Requeue races can in theory
-    /// overcount (two connections journaling the same index between
-    /// each other's existence checks); the monitor's directory scan
-    /// stays authoritative, so a premature `done` only costs a
-    /// recovery pass, never a wrong artifact.
-    done_results: AtomicUsize,
-    /// Wakes the monitor loop out of its poll sleep the moment a
-    /// handler journals a result.
-    progress_lock: Mutex<()>,
-    progress: std::sync::Condvar,
     corrupt_results: AtomicUsize,
     requeued: AtomicUsize,
     joined: AtomicUsize,
@@ -554,46 +606,140 @@ struct CoordShared {
     reports: Mutex<Vec<WorkerReport>>,
 }
 
-impl CoordShared {
+impl CoordShared<'_> {
+    fn lock_tasks(&self) -> std::sync::MutexGuard<'_, Tasks> {
+        self.tasks.lock().expect("task queue poisoned")
+    }
+
+    /// Record the first fatal error and end the sweep.
     fn fatal(&self, e: DistError) {
-        let mut slot = self.fatal.lock();
-        if slot.is_none() {
-            *slot = Some(e);
+        self.fatal.lock().expect("fatal slot poisoned").get_or_insert(e);
+        self.finish();
+    }
+
+    /// End the sweep: claims drain from now on, idle local-drain threads
+    /// and the monitor wake, and every parked connection gets its `Drain`.
+    fn finish(&self) {
+        self.lock_tasks().done = true;
+        self.changed.notify_all();
+        let mut parked = self.parked.lock().expect("parked map poisoned");
+        for (_, stream) in parked.drain() {
+            let _ = write_frame(&mut &*stream, &WireMsg::Drain);
         }
+    }
+
+    /// Register a connection as parked. Refused once the sweep has ended:
+    /// the end's `Drain` round has already gone out.
+    fn park(&self, ctl: &ConnState, stream: &Arc<TcpStream>) -> bool {
+        let mut parked = self.parked.lock().expect("parked map poisoned");
+        if self.lock_tasks().done {
+            return false;
+        }
+        parked.insert(ctl.id, Arc::clone(stream));
+        true
+    }
+
+    fn unpark(&self, ctl: &ConnState) {
+        self.parked.lock().expect("parked map poisoned").remove(&ctl.id);
     }
 
     /// Put a lost task back in the queue (benign if it already has a
     /// result or is already queued).
     fn requeue(&self, index: usize) {
-        match requeue_task(&self.spool, index) {
-            Ok(true) => {
-                self.requeued.fetch_add(1, Ordering::SeqCst);
-            }
-            Ok(false) => {}
-            Err(e) => self.fatal(e),
+        if self.lock_tasks().requeue(index) {
+            self.requeued.fetch_add(1, Ordering::SeqCst);
+            self.changed.notify_all();
         }
+    }
+
+    /// Queue every task that is neither queued nor finished — whoever
+    /// holds it is presumed dead.
+    fn requeue_unfinished(&self) {
+        let mut tasks = self.lock_tasks();
+        let n = (0..self.grid.len()).filter(|&i| tasks.requeue(i)).count();
+        drop(tasks);
+        self.requeued.fetch_add(n, Ordering::SeqCst);
+        self.changed.notify_all();
+    }
+
+    /// Journal one result payload and mark its task finished; the final
+    /// result ends the sweep. `false` when the spool write failed (the
+    /// sweep is over then, with that error).
+    fn journal(&self, index: usize, payload: &str) -> bool {
+        if self.lock_tasks().journaled[index] {
+            // A requeued task's second result: the journal already has
+            // an identical one.
+            return true;
+        }
+        if let Err(e) = write_result_text(&self.spool, index, payload) {
+            self.fatal(e);
+            return false;
+        }
+        let mut tasks = self.lock_tasks();
+        if !tasks.journaled[index] {
+            tasks.journaled[index] = true;
+            tasks.results += 1;
+            if tasks.results == self.grid.len() {
+                drop(tasks);
+                self.finish();
+            }
+        }
+        true
     }
 
     /// Claim up to `max` tasks for one grant.
     fn next_batch(&self, max: usize) -> Grant {
-        if self.done.load(Ordering::SeqCst) || max == 0 {
-            return if max == 0 { Grant::Wait } else { Grant::Drain };
+        let mut tasks = self.lock_tasks();
+        if tasks.done {
+            return Grant::Drain;
         }
-        match self.source.try_claim_batch(max) {
-            Ok(tasks) if !tasks.is_empty() => Grant::Tasks(tasks),
-            Ok(_) => match unfinished_claims(&self.spool) {
-                Ok(0) => Grant::Drain,
-                Ok(_) => Grant::Wait,
-                Err(e) => {
-                    self.fatal(e);
-                    Grant::Fatal
-                }
-            },
-            Err(e) => {
-                self.fatal(e);
-                Grant::Fatal
+        let batch: Vec<usize> = std::iter::from_fn(|| tasks.pop()).take(max).collect();
+        if batch.is_empty() {
+            Grant::Wait
+        } else {
+            Grant::Tasks(batch)
+        }
+    }
+
+    /// The next task for the local drain. With `wait`, an idle thread
+    /// sleeps until a task is requeued or the sweep ends; without, an
+    /// empty queue ends the drain.
+    fn next_local(&self, wait: bool) -> Option<usize> {
+        let mut tasks = self.lock_tasks();
+        loop {
+            if wait && tasks.done {
+                return None;
             }
+            if let Some(index) = tasks.pop() {
+                return Some(index);
+            }
+            if !wait {
+                return None;
+            }
+            tasks = self.changed.wait(tasks).expect("task queue poisoned");
         }
+    }
+
+    /// Run queued tasks on this process's own threads, journaling each
+    /// result as it completes. A `--spawn` coordinator drains this way
+    /// alongside its fleet from the start (`wait`: idle threads wait for
+    /// requeued tasks until the sweep ends); stall and merge recovery
+    /// drain what is queued and return.
+    fn drain_locally(&self, wait: bool) {
+        let drain = || {
+            while let Some(index) = self.next_local(wait) {
+                let result = self.runner.run_scenario(&self.grid[index]);
+                if !self.journal(index, &sweep_result_to_json(&result).write()) {
+                    return;
+                }
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..self.threads {
+                scope.spawn(drain);
+            }
+            drain();
+        });
     }
 
     /// Validate and journal one `Result` frame. Returns `false` when the
@@ -607,39 +753,14 @@ impl CoordShared {
         // is what proves the payload is a well-formed `SweepResult` for
         // the advertised scenario before anything touches the spool.
         let text = payload.write();
-        let valid = index < self.names.len()
+        let valid = index < self.grid.len()
             && fnv1a(text.as_bytes()) == sum
-            && sweep_result_from_json(payload).is_ok_and(|r| r.name == self.names[index]);
+            && sweep_result_from_json(payload).is_ok_and(|r| r.name == self.grid[index].name);
         if valid {
-            let fresh = !result_path(&self.spool, index).exists();
-            return match write_result_text(&self.spool, index, &text) {
-                Ok(()) => {
-                    self.journaled.fetch_add(1, Ordering::SeqCst);
-                    if fresh
-                        && self.done_results.fetch_add(1, Ordering::SeqCst) + 1 >= self.names.len()
-                    {
-                        // The final result: flip `done` and wake the
-                        // monitor now, not a poll tick later. Only this
-                        // flip notifies — waking the monitor per result
-                        // would trade a context switch plus directory
-                        // scan for every frame on a busy box. Flag
-                        // first, then lock-and-notify: the monitor
-                        // re-checks `done` under this lock before it
-                        // waits, so the wakeup cannot be lost.
-                        self.done.store(true, Ordering::SeqCst);
-                        drop(self.progress_lock.lock());
-                        self.progress.notify_all();
-                    }
-                    true
-                }
-                Err(e) => {
-                    self.fatal(e);
-                    false
-                }
-            };
+            return self.journal(index, &text);
         }
         self.corrupt_results.fetch_add(1, Ordering::SeqCst);
-        if index < self.names.len() && self.corrupt_seen.lock().insert(index) {
+        if index < self.grid.len() && self.corrupt_seen.lock().expect("poisoned").insert(index) {
             // First offense for this task: requeue and keep the
             // connection (the corruption may have been in transit).
             self.requeue(index);
@@ -693,11 +814,13 @@ impl CoordShared {
     }
 
     /// Try to satisfy the connection's recorded demand. A full window or
-    /// a momentarily dry spool *withholds* the grant (the worker keeps
-    /// computing; the next result, heartbeat, or poll tick retries it) —
-    /// a dry spool additionally answers with a `Heartbeat` so the
-    /// waiting worker can tell a busy coordinator from a dead one.
+    /// an empty queue *withholds* the grant (the worker keeps computing;
+    /// the next result, heartbeat, or poll tick retries it) — an empty
+    /// queue additionally answers with a `Heartbeat` so the waiting worker
+    /// can tell a busy coordinator from a dead one, and parks the
+    /// connection until the sweep ends.
     fn pump(&self, m: &mut Metered<'_>, ctl: &mut ConnState) -> Option<Close> {
+        ctl.waiting = false;
         if ctl.deferred == 0 || !ctl.authed {
             return None;
         }
@@ -707,15 +830,15 @@ impl CoordShared {
             return None;
         }
         match self.next_batch(want) {
-            Grant::Tasks(tasks) => {
+            Grant::Tasks(indices) => {
                 ctl.deferred = 0;
-                let indices: Vec<usize> = tasks.iter().map(|(i, _)| *i).collect();
-                // Scenario texts splice straight from the spool records
-                // into the frame — the raw-encoding twin of the worker's
-                // `Result` path, pinned byte-identical to the structured
-                // encoder by the codec tests.
-                let wire: Vec<(u64, String)> =
-                    tasks.into_iter().map(|(i, sc)| (i as u64, sc)).collect();
+                // Scenario texts splice straight into the frame — the
+                // raw-encoding twin of the worker's `Result` path, pinned
+                // byte-identical to the structured encoder by the codec
+                // tests.
+                let text = |i: usize| self.texts[i].get_or_init(|| encode_scenario(&self.grid[i]));
+                let wire: Vec<(u64, &str)> =
+                    indices.iter().map(|&i| (i as u64, text(i).as_str())).collect();
                 if m.send_text(&encode_task_batch_msg(&wire)).is_err() {
                     for index in indices {
                         self.requeue(index);
@@ -726,10 +849,11 @@ impl CoordShared {
                 None
             }
             Grant::Wait => {
-                // "Claimed-but-unfinished tasks exist elsewhere": the
-                // demand stays parked — requeued orphans reach it within
-                // a poll tick — with a liveness heartbeat so the worker's
-                // patience timer keeps finding frames.
+                // Tasks are still unfinished elsewhere: the demand stays
+                // parked — requeued tasks reach it within a poll tick,
+                // the sweep's end at once — with a liveness heartbeat so
+                // the worker's patience timer keeps finding frames.
+                ctl.waiting = true;
                 let nudge = WireMsg::Heartbeat { inflight: None };
                 m.send(&nudge).is_err().then_some(Close::Dead)
             }
@@ -737,18 +861,23 @@ impl CoordShared {
                 ctl.deferred = 0;
                 Some(self.drain_peer(m))
             }
-            Grant::Fatal => Some(Close::Dead),
         }
     }
 
     /// Drive one worker connection until it drains, leaves, or dies.
     fn handle(&self, stream: TcpStream) {
         let _ = stream.set_nodelay(true);
-        if stream.set_read_timeout(Some(HANDLER_POLL)).is_err() {
+        // The write timeout bounds how long a peer that stopped reading
+        // can block a write — the end-of-sweep `Drain` round included.
+        if stream.set_read_timeout(Some(HANDLER_POLL)).is_err()
+            || stream.set_write_timeout(Some(DRAIN_WAIT)).is_err()
+        {
             return;
         }
+        let stream = Arc::new(stream);
         let mut m = Metered::new(&stream);
         let require_auth = self.auth_token.is_some();
+        let id = self.conn_seq.fetch_add(1, Ordering::SeqCst);
         // The nonce only needs per-connection uniqueness (it salts the
         // MAC against replay across connections), not unpredictability
         // of a CSPRNG grade: time + pid + connection ordinal suffice.
@@ -756,19 +885,30 @@ impl CoordShared {
             let t = std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
                 .map_or(0, |d| d.as_nanos() as u64);
-            let seq = self.conn_seq.fetch_add(1, Ordering::SeqCst);
-            t ^ seq.rotate_left(32) ^ u64::from(std::process::id()).rotate_left(17)
+            t ^ id.rotate_left(32) ^ u64::from(std::process::id()).rotate_left(17)
         };
-        let mut ctl = ConnState::new(self.claim_window, !require_auth, nonce);
+        let mut ctl = ConnState::new(id, self.claim_window, !require_auth, nonce);
         if require_auth && m.send(&WireMsg::AuthChallenge { nonce }).is_err() {
             return;
         }
         let mut last_alive = Instant::now();
         let close = loop {
-            if self.done.load(Ordering::SeqCst) && ctl.outstanding.is_empty() {
+            if self.lock_tasks().done && ctl.outstanding.is_empty() {
                 break self.drain_peer(&mut m);
             }
-            match m.read_msg() {
+            // A parked connection is reachable by the sweep's end while
+            // it blocks in the read below, and only then.
+            if ctl.waiting && !self.park(&ctl, &stream) {
+                match self.pump(&mut m, &mut ctl) {
+                    Some(close) => break close,
+                    None => continue,
+                }
+            }
+            let read = m.read_msg();
+            if ctl.waiting {
+                self.unpark(&ctl);
+            }
+            match read {
                 Ok(msg) => {
                     last_alive = Instant::now();
                     match msg {
@@ -814,7 +954,7 @@ impl CoordShared {
                         }
                         WireMsg::Heartbeat { .. } => {
                             // A parked grant may have become servable
-                            // (another connection's orphans requeued).
+                            // (another connection's tasks requeued).
                             if let Some(close) = self.pump(&mut m, &mut ctl) {
                                 break close;
                             }
@@ -863,7 +1003,7 @@ impl CoordShared {
             Close::Rejected => {}
         }
         if !ctl.name.is_empty() {
-            self.reports.lock().push(ctl.report(&m));
+            self.reports.lock().expect("reports poisoned").push(ctl.report(&m));
         }
         let _ = stream.shutdown(Shutdown::Both);
     }
@@ -901,11 +1041,26 @@ impl CoordShared {
     }
 }
 
-/// The TCP sweep coordinator: spools the grid, listens on a socket, and
-/// drives an elastic fleet of [`TcpWorker`]s to drain it. Results land in
-/// the same durable spool as [`DistSweep`](crate::dist::DistSweep), so
-/// every recovery invariant (checksums, atomic renames, resume) carries
-/// over; the transport only changes how tasks and results travel.
+/// Spawned worker processes, killed and reaped when dropped: no child
+/// outlives the sweep, on any exit path. A child that was drained has
+/// already said `Bye`; one still dialing or hung is stopped here.
+struct Fleet(Vec<Child>);
+
+impl Drop for Fleet {
+    fn drop(&mut self) {
+        for child in &mut self.0 {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// The sweep coordinator: journals into a spool, hands tasks out from an
+/// in-memory queue over a TCP listener, and drives an elastic fleet of
+/// [`TcpWorker`]s to drain it — dialing in from anywhere (`--listen`), or
+/// spawned on this host (`--distributed --spawn N`, see
+/// [`with_spawn`](Self::with_spawn)). Results are bit-identical to
+/// [`SweepRunner::run`] whoever computes them.
 #[derive(Debug)]
 pub struct TcpSweep {
     spool: PathBuf,
@@ -916,10 +1071,13 @@ pub struct TcpSweep {
     resume: bool,
     claim_window: usize,
     auth_token: Option<String>,
+    /// `Some(n)`: spawn `n` workers and drain alongside them.
+    spawn: Option<usize>,
+    worker_cmd: Option<(PathBuf, Vec<String>)>,
 }
 
 impl TcpSweep {
-    /// A coordinator spooling into `spool` and listening on `listen`
+    /// A coordinator journaling into `spool` and listening on `listen`
     /// (e.g. `"127.0.0.1:0"` — port 0 picks a free port, published in
     /// the spool's `addr` file).
     pub fn new(spool: impl Into<PathBuf>, listen: impl Into<String>) -> Self {
@@ -932,11 +1090,12 @@ impl TcpSweep {
             resume: false,
             claim_window: DEFAULT_CLAIM_WINDOW,
             auth_token: None,
+            spawn: None,
+            worker_cmd: None,
         }
     }
 
-    /// Threads for the coordinator's own local drain (the stall-recovery
-    /// fallback).
+    /// Threads for the coordinator's own local drain.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -944,7 +1103,7 @@ impl TcpSweep {
 
     /// How long the fleet may go without producing a single result (and a
     /// single connection may go without a frame) before recovery kicks
-    /// in.
+    /// in: every unfinished task is queued again and drained locally.
     pub fn with_stall_timeout(mut self, stall: Duration) -> Self {
         self.stall_timeout = stall;
         self
@@ -957,8 +1116,8 @@ impl TcpSweep {
     }
 
     /// Resume a crashed coordinator's spool instead of demanding a fresh
-    /// directory (validates the manifest against the grid and requeues
-    /// orphans first).
+    /// directory: the manifest must name the same grid, and only the
+    /// tasks without a journaled result are queued.
     pub fn with_resume(mut self, resume: bool) -> Self {
         self.resume = resume;
         self
@@ -980,15 +1139,37 @@ impl TcpSweep {
         self
     }
 
-    /// Run the sweep: spool (or resume), listen, serve workers until
-    /// every task has a result, then merge. Returns the results in grid
-    /// order plus the recovery counters.
+    /// Spawn `n` worker processes that dial this coordinator, and drain
+    /// the queue alongside them from the start, so the sweep has `n + 1`
+    /// executors (`n = 0`: the coordinator drains alone). Requires
+    /// [`with_worker_command`](Self::with_worker_command) when `n > 0`.
+    /// Without this, the coordinator serves whoever dials in and drains
+    /// locally only when the fleet stalls.
+    pub fn with_spawn(mut self, n: usize) -> Self {
+        self.spawn = Some(n);
+        self
+    }
+
+    /// The command spawned workers run — typically the current executable
+    /// with `sweep-worker` arguments. The coordinator appends
+    /// `--connect ADDR` once it has bound.
+    pub fn with_worker_command(mut self, program: impl Into<PathBuf>, args: Vec<String>) -> Self {
+        self.worker_cmd = Some((program.into(), args));
+        self
+    }
+
+    /// Run the sweep: start (or resume) the journal, listen, serve
+    /// workers until every task has a result, then merge. Returns the
+    /// results in grid order plus the recovery counters.
     pub fn run(&self, grid: &[Scenario]) -> Result<(Vec<SweepResult>, TcpSummary), DistError> {
-        let resumed_requeues = if self.resume {
-            resume_spool(&self.spool, grid)?
+        if grid.is_empty() {
+            return Ok((Vec::new(), TcpSummary::default()));
+        }
+        let journaled = if self.resume {
+            reopen_spool(&self.spool, grid)?
         } else {
-            spool_tasks(&self.spool, grid)?;
-            0
+            create_spool(&self.spool, grid)?;
+            vec![false; grid.len()]
         };
         let listener = TcpListener::bind(&self.listen)
             .map_err(|e| net_err(&self.listen, format!("bind failed: {e}")))?;
@@ -1006,53 +1187,52 @@ impl TcpSweep {
         listener
             .set_nonblocking(true)
             .map_err(|e| net_err(&addr, format!("nonblocking accept unavailable: {e}")))?;
+        let fleet = self.spawn_fleet(&addr)?;
 
-        let initial_results = count_results(&self.spool)?;
+        let tasks = Tasks::new(journaled);
         let shared = CoordShared {
             spool: self.spool.clone(),
-            names: crate::dist::read_manifest(&self.spool)?,
-            source: SpoolSource::open(&self.spool),
-            done: AtomicBool::new(false),
+            grid,
+            texts: grid.iter().map(|_| OnceLock::new()).collect(),
+            // On resume, every task without a result is queued again.
+            requeued: AtomicUsize::new(if self.resume { tasks.pending.len() } else { 0 }),
+            tasks: Mutex::new(tasks),
+            changed: Condvar::new(),
+            parked: Mutex::new(HashMap::new()),
+            runner: SweepRunner::new().with_workers(self.threads),
+            threads: self.threads,
             stall: self.stall_timeout,
+            claim_window: self.claim_window,
+            auth_token: self.auth_token.clone(),
             fatal: Mutex::new(None),
             corrupt_seen: Mutex::new(HashSet::new()),
-            journaled: AtomicUsize::new(0),
-            done_results: AtomicUsize::new(initial_results),
-            progress_lock: Mutex::new(()),
-            progress: std::sync::Condvar::new(),
             corrupt_results: AtomicUsize::new(0),
-            requeued: AtomicUsize::new(resumed_requeues),
             joined: AtomicUsize::new(0),
             left: AtomicUsize::new(0),
             dead: AtomicUsize::new(0),
             rejected: AtomicUsize::new(0),
             conn_seq: AtomicU64::new(0),
-            claim_window: self.claim_window,
-            auth_token: self.auth_token.clone(),
             reports: Mutex::new(Vec::new()),
         };
         let shared = &shared;
-        let n_tasks = shared.names.len();
+        let draining_alongside = self.spawn.is_some();
         let mut recoveries = 0u32;
 
-        let served: Result<(), DistError> = crossbeam::thread::scope(|scope| {
+        let served: Result<(), DistError> = std::thread::scope(|scope| {
+            if draining_alongside {
+                scope.spawn(|| shared.drain_locally(true));
+            }
             let mut poll =
                 Backoff::new(Duration::from_millis(2), Duration::from_millis(40), self.seed);
-            let mut last_count = initial_results;
-            // The monitor only walks the results directory when a
-            // handler journaled something since the last walk (or a
-            // local drain may have, below) — an idle tick is an atomic
-            // load, not a directory scan racing the handlers for disk.
-            let mut seen_journaled = shared.journaled.load(Ordering::SeqCst);
-            let mut force_scan = false;
+            let mut last_count = usize::MAX;
             let mut idle_since = Instant::now();
             let outcome = loop {
-                if let Some(e) = shared.fatal.lock().take() {
+                if let Some(e) = shared.fatal.lock().expect("fatal slot poisoned").take() {
                     break Err(e);
                 }
                 match listener.accept() {
                     Ok((stream, _)) => {
-                        scope.spawn(move |_| shared.handle(stream));
+                        scope.spawn(move || shared.handle(stream));
                         poll.reset();
                         continue;
                     }
@@ -1061,42 +1241,26 @@ impl TcpSweep {
                     // are not fatal to the sweep.
                     Err(_) => {}
                 }
-                let journaled_now = shared.journaled.load(Ordering::SeqCst);
-                let done_now = if force_scan || journaled_now != seen_journaled {
-                    force_scan = false;
-                    seen_journaled = journaled_now;
-                    match count_results(&self.spool) {
-                        Ok(n) => n,
-                        Err(e) => break Err(e),
-                    }
-                } else {
-                    last_count
-                };
-                if done_now >= n_tasks {
+                let tasks = shared.lock_tasks();
+                if tasks.done {
                     break Ok(());
                 }
-                if done_now > last_count {
-                    last_count = done_now;
+                if tasks.results != last_count {
+                    last_count = tasks.results;
                     idle_since = Instant::now();
                     poll.reset();
                 }
                 if idle_since.elapsed() >= self.stall_timeout {
                     // The fleet went quiet for a whole stall window:
-                    // steal everything back and drain locally, so the
-                    // sweep terminates no matter what the workers do.
+                    // queue everything unfinished again and drain it
+                    // here, so the sweep terminates no matter what the
+                    // workers do.
+                    drop(tasks);
                     recoveries += 1;
-                    match requeue_orphans(&self.spool) {
-                        Ok(n) => {
-                            shared.requeued.fetch_add(n, Ordering::SeqCst);
-                        }
-                        Err(e) => break Err(e),
+                    shared.requeue_unfinished();
+                    if !draining_alongside {
+                        shared.drain_locally(false);
                     }
-                    if let Err(e) = run_worker(&self.spool, self.threads) {
-                        break Err(e);
-                    }
-                    // The local drain wrote results the journaled
-                    // counter never saw; the next tick must re-scan.
-                    force_scan = true;
                     idle_since = Instant::now();
                     poll.reset();
                     if recoveries >= MAX_RECOVERIES {
@@ -1105,37 +1269,23 @@ impl TcpSweep {
                     }
                     continue;
                 }
-                // Sleep on the progress condvar instead of blind: the
-                // handler journaling the final result wakes the monitor
-                // immediately, so completion is never stuck behind a
-                // poll tick. The re-check under the lock closes the
-                // lost-wakeup race (handlers flip `done` before locking
-                // to notify). The backoff cap is clamped low enough
-                // that a freshly dialing worker never waits long on
-                // the non-blocking accept either.
-                let guard = shared.progress_lock.lock();
-                if !shared.done.load(Ordering::SeqCst) {
-                    let waited = shared
-                        .progress
-                        .wait_timeout(guard, poll.next_delay().min(ACCEPT_POLL_CAP))
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    drop(waited.0);
-                } else {
-                    drop(guard);
-                }
+                // Sleep on the queue's condvar: the end of the sweep wakes
+                // the monitor at once. The cap bounds how long a freshly
+                // dialing worker waits on the non-blocking accept.
+                let nap = poll.next_delay().min(ACCEPT_POLL_CAP);
+                drop(shared.changed.wait_timeout(tasks, nap).expect("task queue poisoned"));
             };
-            shared.done.store(true, Ordering::SeqCst);
+            shared.finish();
             // Closing the listener resets any un-accepted backlog
             // connections so late dialers fail fast instead of hanging.
             drop(listener);
             outcome
-        })
-        .expect("connection handler panicked");
+        });
+        drop(fleet);
         served?;
 
-        // Merge, recovering from corrupt spool records the same way the
-        // process transport does: discard + requeue once per task, drain
-        // locally, retry.
+        // Merge, recovering from corrupt journal records: discard the
+        // record, queue its task once, drain locally, retry.
         let results = loop {
             match merge_results(&self.spool) {
                 Ok(results) => break results,
@@ -1144,24 +1294,28 @@ impl TcpSweep {
                         DistError::Corrupt { path, .. } | DistError::Codec { path, .. } => path,
                         _ => unreachable!(),
                     };
-                    let Some(index) = crate::dist::corrupt_result_index(&self.spool, path) else {
+                    let Some(index) = corrupt_result_index(&self.spool, path) else {
                         return Err(e);
                     };
-                    if !shared.corrupt_seen.lock().insert(index) {
+                    if index >= grid.len()
+                        || !shared.corrupt_seen.lock().expect("poisoned").insert(index)
+                    {
                         return Err(e);
                     }
-                    crate::dist::discard_corrupt_result(&self.spool, index)?;
+                    discard_result(&self.spool, index)?;
+                    {
+                        let mut tasks = shared.lock_tasks();
+                        if std::mem::take(&mut tasks.journaled[index]) {
+                            tasks.results -= 1;
+                        }
+                        tasks.requeue(index);
+                    }
                     shared.corrupt_results.fetch_add(1, Ordering::SeqCst);
                     shared.requeued.fetch_add(1, Ordering::SeqCst);
-                    run_worker(&self.spool, self.threads)?;
-                }
-                Err(DistError::Incomplete { .. }) if recoveries < MAX_RECOVERIES => {
-                    // Workers that died at the very end may have left
-                    // claims behind after the monitor loop exited.
-                    recoveries += 1;
-                    let n = requeue_orphans(&self.spool)?;
-                    shared.requeued.fetch_add(n, Ordering::SeqCst);
-                    run_worker(&self.spool, self.threads)?;
+                    shared.drain_locally(false);
+                    if let Some(e) = shared.fatal.lock().expect("fatal slot poisoned").take() {
+                        return Err(e);
+                    }
                 }
                 Err(e) => return Err(e),
             }
@@ -1175,9 +1329,31 @@ impl TcpSweep {
             dead_workers: shared.dead.load(Ordering::SeqCst),
             auth_rejects: shared.rejected.load(Ordering::SeqCst),
             recoveries,
-            per_worker: std::mem::take(&mut *shared.reports.lock()),
+            per_worker: std::mem::take(&mut *shared.reports.lock().expect("reports poisoned")),
         };
         Ok((results, summary))
+    }
+
+    /// Start the `--spawn` workers, each dialing `addr`.
+    fn spawn_fleet(&self, addr: &str) -> Result<Fleet, DistError> {
+        let mut fleet = Fleet(Vec::new());
+        let n = self.spawn.unwrap_or(0);
+        if n == 0 {
+            return Ok(fleet);
+        }
+        let (program, args) = self.worker_cmd.as_ref().ok_or_else(|| {
+            DistError::Config("spawn > 0 but no worker command configured".to_string())
+        })?;
+        for _ in 0..n {
+            let child = Command::new(program)
+                .args(args)
+                .args(["--connect", addr])
+                .stdin(Stdio::null())
+                .spawn()
+                .map_err(|source| DistError::Io { path: program.clone(), source })?;
+            fleet.0.push(child);
+        }
+        Ok(fleet)
     }
 }
 
@@ -1274,7 +1450,7 @@ impl<'a> Conn<'a> {
     /// once and comes through here; every fault-plan decision operates
     /// on the final body text either way.
     fn send_text(&self, body: &str) -> Sent {
-        let mut writer = self.writer.lock();
+        let mut writer = self.writer.lock().expect("writer poisoned");
         let n = self.shared.frames.fetch_add(1, Ordering::SeqCst) + 1;
         if let Some((k, ms)) = self.plan.delay_every {
             if n.is_multiple_of(k) {
@@ -1307,7 +1483,7 @@ impl<'a> Conn<'a> {
     }
 
     fn abrupt_close(&self) {
-        let _ = self.writer.lock().shutdown(Shutdown::Both);
+        let _ = self.writer.lock().expect("writer poisoned").shutdown(Shutdown::Both);
     }
 }
 
@@ -1419,14 +1595,12 @@ impl TcpWorker {
     pub fn run(&self) -> Result<WorkerOutcome, DistError> {
         let shared = WorkerShared::default();
         let shared = &shared;
-        let outcomes: Vec<Result<(ConnEnd, usize), DistError>> =
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..self.threads)
-                    .map(|t| scope.spawn(move |_| self.worker_thread(t, shared)))
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
-            })
-            .expect("worker scope failed");
+        let outcomes: Vec<Result<(ConnEnd, usize), DistError>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..self.threads)
+                .map(|t| scope.spawn(move || self.worker_thread(t, shared)))
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
+        });
         let mut completed = 0;
         let mut killed = false;
         let mut first_err = None;
@@ -1534,12 +1708,12 @@ impl TcpWorker {
         // does, so a drained worker's exit never trails by a nap slice.
         let stop_lock = Mutex::new(());
         let stop_cv = std::sync::Condvar::new();
-        crossbeam::thread::scope(|scope| {
-            scope.spawn(|_| {
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
                 let interrupted =
                     || stop.load(Ordering::SeqCst) || shared.killed.load(Ordering::SeqCst);
                 loop {
-                    let guard = stop_lock.lock();
+                    let guard = stop_lock.lock().expect("ticker lock poisoned");
                     let waited = stop_cv
                         .wait_timeout(guard, self.heartbeat)
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -1560,7 +1734,6 @@ impl TcpWorker {
             stop_cv.notify_all();
             end
         })
-        .expect("heartbeat ticker panicked")
     }
 
     /// The pipelined claim/compute/result loop. A local queue of granted
@@ -1732,7 +1905,7 @@ impl TcpWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::spool_tasks;
+    use crate::dist::result_path;
     use simcal_sim::ScenarioRegistry;
 
     /// A grid larger than two default-window grants, so that in a
@@ -1805,20 +1978,19 @@ mod tests {
         coord: TcpSweep,
         fleet: Vec<WorkerBuilder>,
     ) -> TcpRun {
-        crossbeam::thread::scope(|scope| {
-            let coord = scope.spawn(|_| coord.run(grid));
+        std::thread::scope(|scope| {
+            let coord = scope.spawn(|| coord.run(grid));
             let addr = wait_addr(spool);
             let handles: Vec<_> = fleet
                 .into_iter()
                 .map(|build| {
                     let addr = addr.clone();
-                    scope.spawn(move |_| build(addr).run())
+                    scope.spawn(move || build(addr).run())
                 })
                 .collect();
             let outcomes = handles.into_iter().map(|h| h.join().expect("worker")).collect();
             (coord.join().expect("coordinator"), outcomes)
         })
-        .expect("tcp test scope")
     }
 
     #[test]
@@ -2017,21 +2189,20 @@ mod tests {
         // The early worker drags every frame out, so the sweep is still
         // running when the second worker dials in.
         let slow = FaultPlan { delay_every: Some((1, 60)), ..FaultPlan::default() };
-        let (coord, outcomes) = crossbeam::thread::scope(|scope| {
-            let coord = scope.spawn(|_| coordinator(&spool).run(&grid));
+        let (coord, outcomes) = std::thread::scope(|scope| {
+            let coord = scope.spawn(|| coordinator(&spool).run(&grid));
             let addr = wait_addr(&spool);
             let early = {
                 let addr = addr.clone();
-                scope.spawn(move |_| fast_worker(addr, 13).with_fault(slow).run())
+                scope.spawn(move || fast_worker(addr, 13).with_fault(slow).run())
             };
-            let late = scope.spawn(move |_| {
+            let late = scope.spawn(move || {
                 std::thread::sleep(Duration::from_millis(100));
                 fast_worker(addr, 14).run()
             });
             let outcomes = vec![early.join().expect("early"), late.join().expect("late")];
             (coord.join().expect("coordinator"), outcomes)
-        })
-        .expect("tcp test scope");
+        });
         let (results, _) = coord.unwrap();
         assert_eq!(fingerprints(&results), fingerprints(&local(&grid)));
         for o in &outcomes {
@@ -2060,12 +2231,15 @@ mod tests {
     fn tcp_resume_continues_a_crashed_coordinators_spool() {
         let grid = grid(3);
         let spool = fresh_spool("resume");
-        // A "crashed" coordinator: tasks spooled, one claimed but never
-        // finished.
-        spool_tasks(&spool, &grid).unwrap();
-        let source = SpoolSource::open(&spool);
-        source.try_claim().unwrap().expect("a task to orphan");
-        drop(source);
+        // A "crashed" coordinator: the journal started, two of the three
+        // results written, the third never.
+        create_spool(&spool, &grid).unwrap();
+        for (index, r) in local(&grid).iter().enumerate().filter(|(i, _)| *i != 1) {
+            write_result_text(&spool, index, &sweep_result_to_json(r).write()).unwrap();
+        }
+        // A fresh coordinator refuses the dirty spool...
+        assert!(matches!(coordinator(&spool).run(&grid), Err(DistError::SpoolInUse(_))));
+        // ...but a resumed one queues the missing task and finishes.
         let (coord, outcomes) = run_tcp(
             &spool,
             &grid,
@@ -2074,8 +2248,162 @@ mod tests {
         );
         let (results, summary) = coord.unwrap();
         assert_eq!(fingerprints(&results), fingerprints(&local(&grid)));
-        assert!(summary.requeued_tasks >= 1, "orphaned claim not requeued: {summary}");
-        assert!(outcomes[0].is_ok());
+        assert_eq!(summary.requeued_tasks, 1, "the missing task was not queued: {summary}");
+        assert_eq!(outcomes[0].as_ref().unwrap().completed(), 1, "finished tasks were rerun");
+        // Resuming a settled spool is idempotent: nothing to queue.
+        let (results, summary) =
+            coordinator(&spool).with_resume(true).with_spawn(0).run(&grid).unwrap();
+        assert!(summary.is_clean(), "{summary}");
+        assert_eq!(fingerprints(&results), fingerprints(&local(&grid)));
+        std::fs::remove_dir_all(&spool).ok();
+    }
+
+    #[test]
+    fn results_are_journaled_as_they_land() {
+        // A result is on disk once its frame is accepted, not at the end
+        // of the sweep: after a worker leaves with two results, two
+        // result files exist while the sweep is still short of tasks.
+        let grid = grid(FLEET_GRID);
+        let spool = fresh_spool("incremental");
+        let (coord, journaled) = std::thread::scope(|scope| {
+            let coord = scope.spawn(|| coordinator(&spool).run(&grid));
+            let addr = wait_addr(&spool);
+            let early = fast_worker(addr.clone(), 16).with_max_tasks(2).run().unwrap();
+            assert_eq!(early, WorkerOutcome::Drained { completed: 2 });
+            let journaled = (0..grid.len()).filter(|&i| result_path(&spool, i).exists()).count();
+            fast_worker(addr, 17).run().unwrap();
+            (coord.join().expect("coordinator"), journaled)
+        });
+        assert_eq!(journaled, 2, "results waited for the end of the sweep");
+        assert_eq!(fingerprints(&coord.unwrap().0), fingerprints(&local(&grid)));
+        std::fs::remove_dir_all(&spool).ok();
+    }
+
+    #[test]
+    fn local_drain_matches_the_in_process_run_and_journals_only_results() {
+        let grid = grid(5);
+        let spool = fresh_spool("local");
+        let (results, summary) =
+            TcpSweep::new(&spool, "127.0.0.1:0").with_spawn(0).with_threads(2).run(&grid).unwrap();
+        assert_eq!(fingerprints(&results), fingerprints(&local(&grid)));
+        assert!(summary.is_clean(), "{summary}");
+        assert_eq!(summary.workers_joined, 0, "nobody dialed in");
+        // The spool is a journal: a manifest, one result per task, the
+        // address — and no task queue on disk.
+        let results_dir = std::fs::read_dir(spool.join("results")).unwrap().count();
+        assert_eq!(results_dir, grid.len());
+        assert!(!spool.join("tasks").exists() && !spool.join("claimed").exists());
+        assert_eq!(fingerprints(&merge_results(&spool).unwrap()), fingerprints(&results));
+        std::fs::remove_dir_all(&spool).ok();
+    }
+
+    #[test]
+    fn merge_rejects_corrupt_checksums() {
+        let grid = grid(2);
+        let spool = fresh_spool("corrupt");
+        coordinator(&spool).with_spawn(0).run(&grid).unwrap();
+        // Flip a byte inside the checksummed payload of one result.
+        let path = result_path(&spool, 0);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let tampered = text.replacen("\"makespan\":", "\"makespan_x\":", 1);
+        assert_ne!(text, tampered);
+        std::fs::write(&path, tampered).unwrap();
+        assert!(matches!(merge_results(&spool), Err(DistError::Corrupt { .. })));
+        std::fs::remove_dir_all(&spool).ok();
+    }
+
+    #[test]
+    fn spool_refuses_to_overwrite_a_finished_sweep_or_stale_leftovers() {
+        let grid = grid(2);
+        let spool = fresh_spool("inuse");
+        coordinator(&spool).with_spawn(0).run(&grid).unwrap();
+        assert!(matches!(
+            coordinator(&spool).with_spawn(0).run(&grid),
+            Err(DistError::SpoolInUse(_))
+        ));
+        std::fs::remove_dir_all(&spool).ok();
+        // A previous coordinator crashed after journaling a result but
+        // before its manifest: that stale result would poison this
+        // sweep's merge, so the fresh sweep must refuse.
+        let spool = fresh_spool("stale");
+        std::fs::create_dir_all(spool.join("results")).unwrap();
+        std::fs::write(result_path(&spool, 17), "{}").unwrap();
+        assert!(matches!(
+            coordinator(&spool).with_spawn(0).run(&grid),
+            Err(DistError::SpoolInUse(_))
+        ));
+        std::fs::remove_dir_all(&spool).ok();
+    }
+
+    #[test]
+    fn empty_grid_is_fine() {
+        let spool = fresh_spool("empty");
+        let (results, summary) = coordinator(&spool).with_spawn(0).run(&[]).unwrap();
+        assert!(results.is_empty() && summary.is_clean());
+        assert!(!spool.exists(), "an empty sweep needs no journal");
+    }
+
+    #[test]
+    fn corrupt_journal_files_are_rerun_once_on_resume() {
+        // Finish a sweep, corrupt one journaled result, then resume: the
+        // coordinator must discard the bad record, rerun its task, and
+        // report one corrupt result — not fail the merge.
+        let grid = grid(3);
+        let spool = fresh_spool("corrupt-resume");
+        coordinator(&spool).with_spawn(0).run(&grid).unwrap();
+        let path = result_path(&spool, 1);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.replacen("\"makespan\":", "\"makespan_x\":", 1)).unwrap();
+        let resume = || coordinator(&spool).with_resume(true).with_spawn(0).run(&grid);
+        let (merged, summary) = resume().unwrap();
+        assert_eq!(summary.corrupt_results, 1, "{summary}");
+        assert!(!summary.is_clean());
+        assert_eq!(fingerprints(&merged), fingerprints(&local(&grid)));
+        // A truncated (unparseable) result is recovered the same way.
+        std::fs::write(result_path(&spool, 0), &text[..text.len() / 2]).unwrap();
+        let (merged, summary) = resume().unwrap();
+        assert_eq!(summary.corrupt_results, 1, "{summary}");
+        assert_eq!(fingerprints(&merged), fingerprints(&local(&grid)));
+        std::fs::remove_dir_all(&spool).ok();
+    }
+
+    #[test]
+    fn resume_rejects_a_mismatched_grid() {
+        let grid = grid(3);
+        let spool = fresh_spool("resume-mismatch");
+        create_spool(&spool, &grid).unwrap();
+        let other = &grid[..2];
+        assert!(matches!(
+            coordinator(&spool).with_resume(true).with_spawn(0).run(other),
+            Err(DistError::Corrupt { .. })
+        ));
+        // Resume on a spool that never existed is an error, not a fresh
+        // sweep (the caller asked to continue something).
+        let missing = fresh_spool("resume-missing");
+        assert!(coordinator(&missing).with_resume(true).with_spawn(0).run(&grid).is_err());
+        std::fs::remove_dir_all(&spool).ok();
+    }
+
+    #[test]
+    fn a_hung_spawned_worker_does_not_stall_the_sweep() {
+        // A spawned worker that never dials and never exits. The
+        // coordinator drains the queue itself and kills the child on the
+        // way out instead of waiting out its 300 s sleep.
+        let grid = grid(4);
+        let spool = fresh_spool("hung");
+        let t0 = Instant::now();
+        let (results, _) = coordinator(&spool)
+            .with_spawn(1)
+            .with_worker_command("/bin/sh", vec!["-c".to_string(), "exec sleep 300".to_string()])
+            .run(&grid)
+            .unwrap();
+        assert!(t0.elapsed() < Duration::from_secs(60), "the sweep waited on its hung child");
+        assert_eq!(fingerprints(&results), fingerprints(&local(&grid)));
+        std::fs::remove_dir_all(&spool).ok();
+        // Spawning needs a command to spawn.
+        let spool = fresh_spool("no-cmd");
+        let err = coordinator(&spool).with_spawn(1).run(&grid).unwrap_err();
+        assert!(matches!(err, DistError::Config(_)), "{err}");
         std::fs::remove_dir_all(&spool).ok();
     }
 
@@ -2228,8 +2556,8 @@ mod tests {
             w.write_all(text.as_bytes()).unwrap();
             w.flush().unwrap();
         };
-        let (coord, cut) = crossbeam::thread::scope(|scope| {
-            let coord = scope.spawn(|_| coordinator(&spool).run(&grid));
+        let (coord, cut) = std::thread::scope(|scope| {
+            let coord = scope.spawn(|| coordinator(&spool).run(&grid));
             let addr = wait_addr(&spool);
             let stream = TcpStream::connect(&addr).unwrap();
             stream.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
@@ -2247,8 +2575,7 @@ mod tests {
             let outcome = fast_worker(addr, 41).run();
             assert!(outcome.is_ok(), "worker failed: {outcome:?}");
             (coord.join().expect("coordinator"), cut)
-        })
-        .expect("tcp test scope");
+        });
         assert!(
             matches!(cut, Err(FrameError::Closed | FrameError::Io(_))),
             "v4 claim was answered: {cut:?}"

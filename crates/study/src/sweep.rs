@@ -1,6 +1,6 @@
 //! The sharded parallel scenario-sweep driver.
 //!
-//! A [`SweepRunner`] executes a grid of [`Scenario`]s across a crossbeam
+//! A [`SweepRunner`] executes a grid of [`Scenario`]s across a scoped
 //! worker pool. The grid is split into contiguous **shards** (of
 //! [`SweepRunner::with_shard_size`] scenarios each); workers claim shards
 //! from an atomic cursor, so load-balancing is dynamic while per-shard
@@ -16,17 +16,14 @@
 //! shards. A property test sweeps the registry at 1/2/8 workers and
 //! several shard sizes and asserts exactly that.
 //!
-//! The runner is **driver-agnostic**: workers pull work through the
-//! [`ShardSource`] seam. The in-process grid ([`GridSource`]) hands out
-//! index ranges over a scenario slice; the distributed spool
-//! ([`crate::dist`]) hands out scenarios decoded from claimed task files.
-//! Both reach the same pooled-session execution path, so the local tier
-//! and the multi-process tier cannot drift apart.
+//! The distributed tier ([`crate::net`]) runs every task it hands out
+//! through [`SweepRunner::run_scenario`], the same pooled-session path, so
+//! the local and the multi-process sweep cannot drift apart.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use simcal_calib::EvalContext;
 use simcal_sim::{Scenario, SimSession};
@@ -340,87 +337,6 @@ fn trace_hash(trace: &ExecutionTrace) -> u64 {
     h.finish()
 }
 
-/// One claimed unit of sweep work: the scenario plus its position in the
-/// overall grid (results are reassembled in grid order by index).
-///
-/// In-process sources lend scenarios straight out of the caller's slice;
-/// spooled sources own scenarios they decoded from claimed task files.
-pub enum Claimed<'a> {
-    /// A scenario borrowed from an in-memory grid.
-    Borrowed(usize, &'a Scenario),
-    /// A scenario decoded from a spool file (or otherwise owned).
-    Owned(usize, Box<Scenario>),
-}
-
-impl Claimed<'_> {
-    /// The scenario's index in the grid being swept.
-    pub fn index(&self) -> usize {
-        match self {
-            Claimed::Borrowed(i, _) | Claimed::Owned(i, _) => *i,
-        }
-    }
-
-    /// The scenario itself.
-    pub fn scenario(&self) -> &Scenario {
-        match self {
-            Claimed::Borrowed(_, sc) => sc,
-            Claimed::Owned(_, sc) => sc,
-        }
-    }
-}
-
-/// A claimable source of sweep work — the seam between the execution
-/// machinery (pooled sessions, worker threads) and the work *driver*
-/// (in-process atomic cursor, or a spooled file queue shared by many
-/// processes).
-///
-/// Contract: across all concurrent claimers, every work item is handed
-/// out **exactly once**; a returned shard is never empty; after `None`
-/// the source stays drained. Sources that can fail (e.g. spool I/O)
-/// record the failure internally, return `None`, and surface the error
-/// after the run.
-pub trait ShardSource: Sync {
-    /// Claim the next shard of work, or `None` when the source is drained.
-    fn claim(&self) -> Option<Vec<Claimed<'_>>>;
-
-    /// Total number of work items, when known up front (used to cap the
-    /// worker count; spooled sources may not know).
-    fn size_hint(&self) -> Option<usize> {
-        None
-    }
-}
-
-/// The in-process shard source: contiguous index ranges over a scenario
-/// slice, claimed from an atomic cursor.
-pub struct GridSource<'a> {
-    scenarios: &'a [Scenario],
-    shard_size: usize,
-    cursor: AtomicUsize,
-}
-
-impl<'a> GridSource<'a> {
-    /// A source over `scenarios`, handing out `shard_size` items per claim.
-    pub fn new(scenarios: &'a [Scenario], shard_size: usize) -> Self {
-        assert!(shard_size > 0, "need a positive shard size");
-        Self { scenarios, shard_size, cursor: AtomicUsize::new(0) }
-    }
-}
-
-impl ShardSource for GridSource<'_> {
-    fn claim(&self) -> Option<Vec<Claimed<'_>>> {
-        let lo = self.cursor.fetch_add(self.shard_size, Ordering::Relaxed);
-        if lo >= self.scenarios.len() {
-            return None;
-        }
-        let hi = (lo + self.shard_size).min(self.scenarios.len());
-        Some((lo..hi).map(|i| Claimed::Borrowed(i, &self.scenarios[i])).collect())
-    }
-
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.scenarios.len())
-    }
-}
-
 /// Sharded parallel executor for scenario grids.
 pub struct SweepRunner {
     workers: usize,
@@ -469,9 +385,10 @@ impl SweepRunner {
     }
 
     /// Execute one scenario on a pooled session. The TCP transport's
-    /// workers receive tasks one at a time over the wire (not through a
-    /// [`ShardSource`]), but must produce results bit-identical to every
-    /// other driver — so they come through the same pooled-context path.
+    /// workers and the coordinator's local drain take tasks one at a time
+    /// from the sweep queue, but must produce results bit-identical to
+    /// [`run`](Self::run) — so they come through the same pooled-context
+    /// path.
     pub fn run_scenario(&self, sc: &Scenario) -> SweepResult {
         let mut ctx = self.checkout_context();
         let r = Self::run_one(&mut ctx, sc, 0, &|_, _| {});
@@ -487,98 +404,50 @@ impl SweepRunner {
     where
         F: Fn(usize, &ExecutionTrace) + Sync,
     {
-        if scenarios.is_empty() {
-            return Vec::new();
-        }
-        let source = GridSource::new(scenarios, self.shard_size);
-        let tagged = self.run_source_map(&source, observe);
-        let mut slots: Vec<Option<SweepResult>> = vec![None; scenarios.len()];
-        for (i, r) in tagged {
-            slots[i] = Some(r);
-        }
-        slots.into_iter().map(|s| s.expect("every scenario produced a result")).collect()
-    }
-
-    /// Execute every scenario a [`ShardSource`] hands out. Returns
-    /// `(grid index, result)` pairs in completion order — callers that
-    /// need grid order reassemble by index (results themselves are
-    /// deterministic; only the pair order reflects claim timing).
-    pub fn run_source(&self, source: &dyn ShardSource) -> Vec<(usize, SweepResult)> {
-        self.run_source_map(source, |_, _| {})
-    }
-
-    /// As [`run_source`](Self::run_source) with a trace observer (see
-    /// [`run_map`](Self::run_map)).
-    pub fn run_source_map<F>(
-        &self,
-        source: &dyn ShardSource,
-        observe: F,
-    ) -> Vec<(usize, SweepResult)>
-    where
-        F: Fn(usize, &ExecutionTrace) + Sync,
-    {
-        self.run_source_inner(source, &observe, &|_, _| {})
-    }
-
-    /// As [`run_source`](Self::run_source), additionally invoking `each`
-    /// with every `(index, result)` *on the worker thread, immediately
-    /// after the scenario completes* — spool workers persist results
-    /// incrementally through this hook, so a later crash loses at most
-    /// the in-flight scenarios, never finished ones.
-    pub fn run_source_each<F>(&self, source: &dyn ShardSource, each: F) -> Vec<(usize, SweepResult)>
-    where
-        F: Fn(usize, &SweepResult) + Sync,
-    {
-        self.run_source_inner(source, &|_, _| {}, &each)
-    }
-
-    fn run_source_inner(
-        &self,
-        source: &dyn ShardSource,
-        observe: &(dyn Fn(usize, &ExecutionTrace) + Sync),
-        each: &(dyn Fn(usize, &SweepResult) + Sync),
-    ) -> Vec<(usize, SweepResult)> {
-        let n_workers = match source.size_hint() {
-            Some(0) => return Vec::new(),
-            Some(n) => self.workers.min(n.div_ceil(self.shard_size)),
-            None => self.workers,
-        };
+        let n = scenarios.len();
+        let n_workers = self.workers.min(n.div_ceil(self.shard_size));
         if n_workers <= 1 {
             let mut ctx = self.checkout_context();
-            let mut out = Vec::new();
-            while let Some(shard) = source.claim() {
-                for claimed in &shard {
-                    let i = claimed.index();
-                    let r = Self::run_one(&mut ctx, claimed.scenario(), i, observe);
-                    each(i, &r);
-                    out.push((i, r));
-                }
-            }
+            let out: Vec<SweepResult> = (0..)
+                .zip(scenarios)
+                .map(|(i, sc)| Self::run_one(&mut ctx, sc, i, &observe))
+                .collect();
             self.return_context(ctx);
             return out;
         }
-
-        let (tx, rx) = crossbeam::channel::unbounded::<(usize, SweepResult)>();
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..n_workers {
-                let tx = tx.clone();
-                scope.spawn(move |_| {
-                    let mut ctx = self.checkout_context();
-                    while let Some(shard) = source.claim() {
-                        for claimed in &shard {
-                            let i = claimed.index();
-                            let r = Self::run_one(&mut ctx, claimed.scenario(), i, observe);
-                            each(i, &r);
-                            tx.send((i, r)).expect("collector alive");
+        // Workers claim contiguous shards from an atomic cursor and keep
+        // their `(index, result)` pairs; the pairs are slotted back into
+        // grid order once every worker has joined.
+        let cursor = AtomicUsize::new(0);
+        let shard = self.shard_size;
+        let mut slots: Vec<Option<SweepResult>> = vec![None; n];
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..n_workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut ctx = self.checkout_context();
+                        let mut done = Vec::new();
+                        loop {
+                            let lo = cursor.fetch_add(shard, Ordering::Relaxed);
+                            let Some(rest) = scenarios.get(lo..).filter(|r| !r.is_empty()) else {
+                                break;
+                            };
+                            for (i, sc) in (lo..).zip(rest.iter().take(shard)) {
+                                done.push((i, Self::run_one(&mut ctx, sc, i, &observe)));
+                            }
                         }
-                    }
-                    self.return_context(ctx);
-                });
+                        self.return_context(ctx);
+                        done
+                    })
+                })
+                .collect();
+            for worker in workers {
+                for (i, r) in worker.join().expect("sweep worker panicked") {
+                    slots[i] = Some(r);
+                }
             }
-            drop(tx);
-            rx.into_iter().collect()
-        })
-        .expect("sweep worker panicked")
+        });
+        slots.into_iter().map(|s| s.expect("every scenario produced a result")).collect()
     }
 
     /// Simulate one scenario on the worker's pooled session.
@@ -586,7 +455,7 @@ impl SweepRunner {
         ctx: &mut EvalContext,
         sc: &Scenario,
         index: usize,
-        observe: &(dyn Fn(usize, &ExecutionTrace) + Sync),
+        observe: &impl Fn(usize, &ExecutionTrace),
     ) -> SweepResult {
         let session = ctx.get_or_insert_with(SimSession::new);
         let t0 = Instant::now();
@@ -608,11 +477,11 @@ impl SweepRunner {
     }
 
     fn checkout_context(&self) -> EvalContext {
-        self.contexts.lock().pop().unwrap_or_default()
+        self.contexts.lock().expect("context pool poisoned").pop().unwrap_or_default()
     }
 
     fn return_context(&self, ctx: EvalContext) {
-        self.contexts.lock().push(ctx);
+        self.contexts.lock().expect("context pool poisoned").push(ctx);
     }
 }
 
@@ -650,41 +519,13 @@ mod tests {
         // Second run reuses the parked sessions; results stay identical.
         let b = runner.run(&grid[..3]);
         assert_eq!(fingerprints(&a), fingerprints(&b));
-        assert!(!runner.contexts.lock().is_empty(), "contexts returned to the pool");
+        assert!(!runner.contexts.lock().unwrap().is_empty(), "contexts returned to the pool");
     }
 
     #[test]
     fn empty_grid_is_fine() {
         assert!(SweepRunner::new().run(&[]).is_empty());
-        let grid: Vec<simcal_sim::Scenario> = Vec::new();
-        assert!(SweepRunner::new().run_source(&GridSource::new(&grid, 4)).is_empty());
-    }
-
-    #[test]
-    fn grid_source_partitions_exactly_once() {
-        let grid = ScenarioRegistry::reduced().scenarios();
-        let source = GridSource::new(&grid, 3);
-        let mut seen = vec![false; grid.len()];
-        while let Some(shard) = source.claim() {
-            assert!(!shard.is_empty());
-            for c in &shard {
-                assert!(!seen[c.index()], "index {} claimed twice", c.index());
-                seen[c.index()] = true;
-                assert_eq!(c.scenario().name, grid[c.index()].name);
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "every index claimed");
-        assert!(source.claim().is_none(), "source stays drained");
-    }
-
-    #[test]
-    fn run_source_matches_run_after_index_reassembly() {
-        let grid = ScenarioRegistry::reduced().scenarios();
-        let runner = SweepRunner::new().with_workers(3);
-        let mut tagged = runner.run_source(&GridSource::new(&grid, 2));
-        tagged.sort_by_key(|(i, _)| *i);
-        let reassembled: Vec<SweepResult> = tagged.into_iter().map(|(_, r)| r).collect();
-        assert_eq!(fingerprints(&reassembled), fingerprints(&runner.run(&grid)));
+        assert!(SweepRunner::new().with_workers(4).with_shard_size(3).run(&[]).is_empty());
     }
 
     #[test]

@@ -174,10 +174,10 @@ fn non_finite_objective_values_do_not_stall_or_kill_a_run() {
 /// levels, every cell of a fixed partition contains an evaluated point.
 #[test]
 fn grid_coverage_becomes_dense() {
-    use parking_lot::Mutex;
+    use std::sync::Mutex;
     let seen = Mutex::new(Vec::<Vec<f64>>::new());
     let obj = FnObjective(|v: &[f64]| {
-        seen.lock().push(v.to_vec());
+        seen.lock().unwrap().push(v.to_vec());
         0.0
     });
     let space = ParamSpace::paper(&["a", "b"]);
@@ -185,7 +185,7 @@ fn grid_coverage_becomes_dense() {
     calibrate_with_workers(&mut algo, &obj, &space, Budget::Evaluations(90), Some(1));
     // 90 evals cover levels 0..=2 (4 + 5 + 16 = 25 points) and most of
     // level 3; check the level-2 5x5 lattice in unit space is complete.
-    let pts = seen.lock();
+    let pts = seen.lock().unwrap();
     let units: Vec<Vec<f64>> = pts.iter().map(|p| space.unit_of(p)).collect();
     for i in 0..=4 {
         for j in 0..=4 {
