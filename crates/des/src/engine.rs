@@ -56,9 +56,11 @@
 //! holds entries of flows that are not active. That is harmless only
 //! because nothing reads the incidence index in that window: attaches
 //! append to it, cancels remove from it by position, and its readers —
-//! the component gather and the solvers' `flows_on[r].len()` share counts
-//! — all run inside the settle, after the expiry. Anything new that reads
-//! `flows_on` must run after [`Engine::settle_rates`]' first step too.
+//! the component gather, the cached slots' counts (which count a parked
+//! flow until it expires) and the solvers' `flows_on[r].len()` share
+//! counts — all run inside the settle, after the expiry. Anything new
+//! that reads `flows_on` must run after [`Engine::settle_rates`]' first
+//! step too.
 //! Route-less churn between a completion and its reissue does not disturb
 //! a parked twin; a foreign routed start or cancel marks its resources
 //! dirty, so the component is re-solved and the renewed flow's inherited
@@ -116,10 +118,15 @@
 //! intermediate population), and drivers that interleave settles (the
 //! multi-site driver, via `peek_time`) do so identically on every run.
 //!
-//! The per-event cost is thus proportional to the *gather* of the touched
-//! component (one pass over its incidence lists), not to the number of
-//! live flows nor to a heap operation per touched flow. Timers sit beside
-//! the two lists in one `std` heap with lazy generation-tagged
+//! Which flows join is known without reading the component: each cached
+//! component slot counts its live routed flows, the capped ones and those
+//! with a repeated hop, and lists its solo (non-member) flows, all updated
+//! where membership changes (attach, detach, capture, invalidation, class
+//! dissolution — never at a renewal). A cap-free uniform re-solve thus
+//! costs O(joiners), not O(component), and not a heap operation per
+//! member; only a component where a cap might bind or the shape is not
+//! uniform is *gathered* (one pass over its incidence lists). Timers sit
+//! beside the two lists in one `std` heap with lazy generation-tagged
 //! cancellation (`timer::TimerQueue`).
 //!
 //! ## Component solve fast paths
@@ -128,10 +135,14 @@
 //! without caps) and two uncapped resources take closed forms; a
 //! multi-resource component whose previous solve froze everything against
 //! a single bottleneck takes a **warm-start re-fill** — the uniform share
-//! is recomputed for the new membership and verified feasible in one
-//! pass, which is the steady state of the big shared WAN/storage
+//! is recomputed for the new membership and verified feasible against
+//! each resource, which is the steady state of the big shared WAN/storage
 //! component whose flow set changes by ±k flows per timestamp. Everything
-//! else runs the allocation-free [`SolveScratch`] solver.
+//! else runs the allocation-free [`SolveScratch`] solver. A cached
+//! component's counts pick the path before any flow is read: with no
+//! capped flow, one resource takes the closed form and a multi-resource
+//! component with no repeated hop tries the re-fill, straight from the
+//! counts; anything else is gathered first.
 
 use crate::eventlist::{Completion, CompletionList};
 use crate::flow::{FlowSpec, FlowState, FlowStatus, NO_CLASS};
@@ -190,6 +201,8 @@ struct CompInfo {
     has_cap: bool,
     /// Smallest cap among component flows (`INFINITY` when none).
     min_cap: f64,
+    /// Component flows whose incidence entries have `capped` set.
+    capped: usize,
 }
 
 /// One incidence entry: a flow crossing a resource via its `hop`-th route
@@ -214,6 +227,14 @@ struct OnEntry {
 /// Detaches never invalidate: they can only split the component, and
 /// solving the cached superset jointly is still exact (max–min fair
 /// allocations decompose across connected components).
+///
+/// Because the set is closed, every routed flow indexed on a member
+/// resource lies wholly inside it, and the slot keeps counts over those
+/// flows where membership changes — attach, detach (expiry, cancel),
+/// capture, invalidation and class dissolution; a renewal changes none.
+/// From the counts alone a uniform re-solve knows the population, that no
+/// cap can bind, and which flows it must join (see
+/// [`Engine::resolve_from_counts`]).
 #[derive(Debug, Default)]
 struct CompSlot {
     /// Validity stamp; labels carrying an older stamp are dead. Bumped on
@@ -223,6 +244,26 @@ struct CompSlot {
     resources: Vec<ResourceId>,
     /// The component's clock: its flows, while one share serves them all.
     clock: CompClock,
+    /// Routed flows indexed on the member resources (each once, however
+    /// many hops it has there): the gather's flow count.
+    live: usize,
+    /// Those whose incidence entries have `capped` set.
+    capped: usize,
+    /// Those whose route lists some resource more than once.
+    dups: usize,
+    /// Flow-table slots of the indexed flows that are not class members —
+    /// the joiners of the next uniform re-solve — minus parked completions
+    /// that completed as members. Positions are kept in
+    /// [`Engine::solo_pos`].
+    solo: Vec<u32>,
+}
+
+impl CompSlot {
+    /// Drop the counts of a slot whose membership is retired.
+    fn forget_counts(&mut self) {
+        (self.live, self.capped, self.dups) = (0, 0, 0);
+        self.solo.clear();
+    }
 }
 
 /// A component clock — processor sharing's virtual time for one cached
@@ -335,7 +376,8 @@ pub struct Engine {
     /// Classes a reissue joined as their new earliest member; re-filed at
     /// the next settle — once per lock-step batch, not once per reissue.
     unfiled: Vec<u32>,
-    /// Cache slot of the component being solved (set by the gather).
+    /// Cache slot of the component being solved (set when it is loaded
+    /// from the cache or captured).
     comp_slot: usize,
     /// Number of flows with a non-empty route in the incidence index: the
     /// active ones once a settle has expired the parked (used to classify
@@ -362,6 +404,9 @@ pub struct Engine {
     free_comp_slots: Vec<u32>,
     /// Per-resource label into `comp_cache` (stamp-checked).
     res_comp: Vec<CompLabel>,
+    /// Position of each flow slot in its cached component's `solo` list;
+    /// meaningful only where that list holds the slot at that position.
+    solo_pos: Vec<u32>,
 
     // Scratch buffers reused across recomputations.
     comp_stack: Vec<ResourceId>,
@@ -465,8 +510,10 @@ impl Engine {
             slot.clock.members.clear();
             slot.clock.filed = None;
             slot.clock.rho = 0.0;
+            slot.forget_counts();
             self.free_comp_slots.push(s as u32);
         }
+        self.solo_pos.clear();
         // The model selection survives the reset; only its per-run flow
         // state is cleared.
         self.model.reset();
@@ -525,6 +572,7 @@ impl Engine {
                 self.flow_mark.push(0);
                 self.slot_gen.push(0);
                 self.flow_pos.push([0; Route::INLINE]);
+                self.solo_pos.push(0);
                 s
             }
         };
@@ -1079,11 +1127,18 @@ impl Engine {
         }
         self.n_active_routed += 1;
         let route = std::mem::take(&mut self.flows[id.index()].route);
-        self.note_attach_route(&route);
+        let kept = self.note_attach_route(&route);
         let capped = self.is_capped(id);
         for (hop, &r) in route.as_slice().iter().enumerate() {
             self.index_on(id, hop, r, capped);
             self.mark_dirty(r);
+        }
+        if let Some(c) = kept {
+            let slot = &mut self.comp_cache[c as usize];
+            slot.live += 1;
+            slot.capped += usize::from(capped);
+            slot.dups += usize::from(route.repeats_a_hop());
+            self.list_solo(c as usize, id.index() as u32);
         }
         self.flows[id.index()].route = route;
     }
@@ -1093,19 +1148,20 @@ impl Engine {
     /// new flow adds no outside connectivity), so the cache stays valid;
     /// any other shape — spanning two cached sets, or touching an uncached
     /// resource — may merge components, so every cached set the route
-    /// touches is retired. Detaches need no bookkeeping: removing a flow
-    /// can only *split* a component, and solving the cached superset
-    /// jointly is still exact.
-    fn note_attach_route(&mut self, route: &Route) {
+    /// touches is retired. Detaches need no bookkeeping beyond the counts:
+    /// removing a flow can only *split* a component, and solving the cached
+    /// superset jointly is still exact. Returns the slot that stays valid.
+    fn note_attach_route(&mut self, route: &Route) -> Option<u32> {
         let hops = route.as_slice();
         if let Some(first) = self.comp_label_of(hops[0]) {
             if hops[1..].iter().all(|&r| self.comp_label_of(r) == Some(first)) {
-                return;
+                return Some(first.slot);
             }
         }
         for &r in hops {
             self.invalidate_comp(r);
         }
+        None
     }
 
     /// The resource's membership label, if it still points at a live slot.
@@ -1123,12 +1179,36 @@ impl Engine {
             self.dissolve_class(s);
             self.comp_cache[s].stamp += 1;
             self.comp_cache[s].resources.clear();
+            self.comp_cache[s].forget_counts();
             self.free_comp_slots.push(label.slot);
         }
     }
 
-    /// Remove a no-longer-active flow from the incidence index and mark
-    /// what it crossed dirty.
+    /// Append the flow in `slot` to cached component `c`'s solo list.
+    #[inline]
+    fn list_solo(&mut self, c: usize, slot: u32) {
+        let solo = &mut self.comp_cache[c].solo;
+        self.solo_pos[slot as usize] = solo.len() as u32;
+        solo.push(slot);
+    }
+
+    /// Take the flow in `slot` off cached component `c`'s solo list, if it
+    /// is there.
+    #[inline]
+    fn unlist_solo(&mut self, c: usize, slot: u32) {
+        let solo = &mut self.comp_cache[c].solo;
+        let pos = self.solo_pos[slot as usize] as usize;
+        if solo.get(pos) == Some(&slot) {
+            solo.swap_remove(pos);
+            if let Some(&moved) = solo.get(pos) {
+                self.solo_pos[moved as usize] = pos as u32;
+            }
+        }
+    }
+
+    /// Remove a no-longer-active flow from the incidence index (and from
+    /// the counts of the cached component it lies in) and mark what it
+    /// crossed dirty.
     fn detach(&mut self, id: FlowId) {
         let route = std::mem::take(&mut self.flows[id.index()].route);
         if !route.is_empty() {
@@ -1138,6 +1218,16 @@ impl Engine {
             let on = &mut self.flows_on[r.index()];
             let pos = Self::incidence_pos(on, &self.flow_pos[id.index()], id.index(), hop);
             debug_assert!(on[pos].flow == id && on[pos].hop as usize == hop);
+            if hop == 0 {
+                if let Some(label) = self.comp_label_of(r) {
+                    let slot = &mut self.comp_cache[label.slot as usize];
+                    slot.live -= 1;
+                    slot.capped -= usize::from(self.flows_on[r.index()][pos].capped);
+                    slot.dups -= usize::from(route.repeats_a_hop());
+                    self.unlist_solo(label.slot as usize, id.index() as u32);
+                }
+            }
+            let on = &mut self.flows_on[r.index()];
             on.swap_remove(pos);
             if pos < on.len() {
                 let moved = on[pos];
@@ -1215,42 +1305,36 @@ impl Engine {
         self.completions.set(id, self.time + remaining / f.rate);
     }
 
-    /// Write back a *uniform* outcome: every flow of the component just
-    /// gathered runs at `share`. One clock update serves them all (`v`
+    /// Write back a *uniform* outcome: every flow of the component being
+    /// solved runs at `share`. One clock update serves them all (`v`
     /// advanced to now under the old share, the share replaced, the class's
-    /// one entry re-keyed); only flows not yet members are touched. A share
-    /// the class already has leaves its clock bit-untouched, as `set_rate`'s
-    /// early return leaves a solo flow: redundant settles are idempotent.
+    /// one entry re-keyed); only the slot's solo flows — the joiners — are
+    /// touched, and no member is read. A share the class already has leaves
+    /// its clock bit-untouched, as `set_rate`'s early return leaves a solo
+    /// flow: redundant settles are idempotent.
     fn assign_uniform(&mut self, share: f64) {
         let c = self.comp_slot;
         let now = self.time;
-        let k = &mut self.comp_cache[c].clock;
-        debug_assert!(k.members.len() <= self.comp_flows.len(), "members are component flows");
-        let joiners = self.comp_flows.len() - k.members.len();
+        let slot = &mut self.comp_cache[c];
+        debug_assert_eq!(slot.clock.members.len() + slot.solo.len(), slot.live);
+        let k = &mut slot.clock;
         if k.members.len() == 0 {
             (k.rho, k.v, k.t_last) = (share, 0.0, now);
         } else if k.rho != share {
             (k.rho, k.v, k.t_last) = (share, k.v_at(now), now);
             self.stats.class_rerates += 1;
-        } else if joiners == 0 {
+        } else if slot.solo.is_empty() {
             return;
         }
-        // Fresh attaches sit at the tail of the incidence lists, so the
-        // gather collected them last: look from the end, and no further
-        // than the last non-member.
-        let mut left = joiners;
-        for i in (0..self.comp_flows.len()).rev() {
-            if left == 0 {
-                break;
-            }
-            let fid = self.comp_flows[i];
-            if self.flows[fid.index()].class == NO_CLASS {
-                self.settle_progress(fid);
-                self.completions.remove(fid.index());
-                self.join_class(c, fid);
-                left -= 1;
-            }
+        let mut solo = std::mem::take(&mut self.comp_cache[c].solo);
+        for &s in &solo {
+            let fid = FlowId::compose(s, self.slot_gen[s as usize]);
+            self.settle_progress(fid);
+            self.completions.remove(s as usize);
+            self.join_class(c, fid);
         }
+        solo.clear();
+        self.comp_cache[c].solo = solo;
         self.file_class(c);
     }
 
@@ -1327,6 +1411,7 @@ impl Engine {
             f.rate = rho;
             f.last_settled = self.time;
             self.schedule_completion(m.flow);
+            self.list_solo(c, m.flow.index() as u32);
         }
         self.stats.class_dissolves += 1;
     }
@@ -1352,30 +1437,43 @@ impl Engine {
             if !self.dirty_res[r0.index()] {
                 continue; // already solved as part of an earlier component
             }
-            let info = match self.try_cached_component(r0, gen) {
-                Some(info) => info,
+            let walked = match self.comp_label_of(r0) {
+                Some(label) => {
+                    self.load_cached_component(label.slot as usize);
+                    None
+                }
                 None => {
                     let info = self.collect_component(r0, gen);
-                    self.capture_component();
-                    info
+                    self.capture_component(&info);
+                    Some(info)
                 }
             };
             for k in 0..self.comp_resources.len() {
                 self.dirty_res[self.comp_resources[k].index()] = false;
             }
+            let live = self.comp_cache[self.comp_slot].live;
             self.stats.component_solves += 1;
-            self.stats.flows_resolved += self.comp_flows.len() as u64;
-            if self.comp_flows.len() >= self.n_active_routed {
+            self.stats.flows_resolved += live as u64;
+            if live >= self.n_active_routed {
                 self.stats.full_solves += 1;
             }
-            if self.comp_flows.is_empty() {
+            if live == 0 {
                 continue;
             }
-            if self.comp_resources.len() == 1 && self.solve_single_resource(&info) {
+            let info = match walked {
+                Some(info) => info,
+                None if self.resolve_from_counts() => continue,
+                None => {
+                    let info = self.gather_flows(gen);
+                    self.check_counts(&info);
+                    info
+                }
+            };
+            if self.comp_resources.len() == 1 && self.solve_single_resource(info.min_cap) {
                 continue;
             }
             if self.comp_resources.len() > 1 {
-                if self.try_warm_refill(&info) {
+                if self.try_warm_refill(info.min_cap) {
                     continue;
                 }
                 if self.comp_resources.len() == 2 && !info.has_cap && self.try_two_resource() {
@@ -1386,13 +1484,69 @@ impl Engine {
         }
     }
 
+    /// The O(joiners) re-solve of a cached component, decided by its
+    /// counts alone: when no flow can be capped, a single resource takes
+    /// the closed form and a multi-resource component with no repeated hop
+    /// tries the warm re-fill. Either hands every flow the same share,
+    /// so the clock moves and the solo flows join without any member being
+    /// read. Returns `false` — the caller gathers and takes the general
+    /// dispatch — whenever a cap might bind or the shape is not uniform.
+    fn resolve_from_counts(&mut self) -> bool {
+        let slot = &self.comp_cache[self.comp_slot];
+        let single = slot.resources.len() == 1;
+        if slot.capped > 0 || (!single && slot.dups > 0) {
+            return false;
+        }
+        if cfg!(debug_assertions) {
+            // Differential check: the gather this path skips must agree
+            // with the counts. A fresh visit generation keeps its marks
+            // from hiding flows from a fallback gather of the same settle.
+            self.visit_gen += 1;
+            let info = self.gather_flows(self.visit_gen);
+            self.check_counts(&info);
+        }
+        let solved = if single {
+            self.solve_single_resource(f64::INFINITY)
+        } else {
+            self.try_warm_refill(f64::INFINITY)
+        };
+        if solved {
+            self.stats.joiner_resolves += 1;
+        }
+        solved
+    }
+
+    /// Assert that the counts of the component in `comp_slot` describe the
+    /// flows just gathered into `comp_flows` (debug builds only).
+    fn check_counts(&self, info: &CompInfo) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let slot = &self.comp_cache[self.comp_slot];
+        let flows = &self.comp_flows;
+        assert_eq!(slot.live, flows.len(), "live count");
+        assert_eq!(slot.capped, info.capped, "capped count");
+        let dups = flows.iter().filter(|f| self.flows[f.index()].route.repeats_a_hop()).count();
+        assert_eq!(slot.dups, dups, "repeated-hop count");
+        let mut solo: Vec<u32> = flows
+            .iter()
+            .filter(|f| self.flows[f.index()].class == NO_CLASS)
+            .map(|f| f.index() as u32)
+            .collect();
+        let mut listed = slot.solo.clone();
+        solo.sort_unstable();
+        listed.sort_unstable();
+        assert_eq!(listed, solo, "solo list");
+    }
+
     /// Closed-form max–min for the most common component shape: a single
-    /// resource. Without binding caps every flow runs at
-    /// `effective_capacity / n_shares`; with caps, a sorted sweep freezes
-    /// capped flows in ascending order exactly as progressive filling
-    /// would. Returns `false` (punting to the general solver) only for the
-    /// pathological duplicate-route-entry case with binding caps.
-    fn solve_single_resource(&mut self, info: &CompInfo) -> bool {
+    /// resource. Without binding caps (every cap at least `min_cap`) every
+    /// flow runs at `effective_capacity / n_shares`; with caps, a sorted
+    /// sweep over the gathered flows freezes capped flows in ascending
+    /// order exactly as progressive filling would. Returns `false`
+    /// (punting to the general solver) only for the pathological
+    /// duplicate-route-entry case with binding caps.
+    fn solve_single_resource(&mut self, min_cap: f64) -> bool {
         let r = self.comp_resources[0];
         let n = self.flows_on[r.index()].len();
         debug_assert!(n > 0, "non-empty component has flows on its resource");
@@ -1400,7 +1554,7 @@ impl Engine {
         // consumes two shares but still runs at one share's rate, exactly
         // as in the general solver.
         let share = self.resources[r.index()].capacity.effective(n).max(0.0) / n as f64;
-        if info.min_cap >= share {
+        if min_cap >= share {
             // No cap binds: the uniform fair share.
             self.stats.closed_form_solves += 1;
             self.assign_uniform(share);
@@ -1445,13 +1599,15 @@ impl Engine {
 
     /// Warm-start re-fill: if some component resource was the sole
     /// bottleneck of its previous solve, try the uniform allocation
-    /// `share = eff / n` against it and verify in one pass that (a) every
-    /// component flow crosses it exactly once, (b) no cap binds, and
-    /// (c) every other resource stays feasible. When the verification
-    /// holds, that allocation *is* the max–min (all rates equal and a
-    /// common saturated bottleneck), assigned without progressive filling.
-    /// This is the ±k-flow steady state of the big shared WAN component.
-    fn try_warm_refill(&mut self, info: &CompInfo) -> bool {
+    /// `share = eff / n` against it and verify that (a) every component
+    /// flow crosses it exactly once, (b) no cap binds (every cap at least
+    /// `min_cap`), and (c) every other resource stays feasible. When the
+    /// verification holds, that allocation *is* the max–min (all rates
+    /// equal and a common saturated bottleneck), assigned without
+    /// progressive filling. This is the ±k-flow steady state of the big
+    /// shared WAN component. (a) is the counts' `n == live` when no route
+    /// repeats a hop; only otherwise are the gathered routes read.
+    fn try_warm_refill(&mut self, min_cap: f64) -> bool {
         let mut cand = None;
         for &r in &self.comp_resources {
             if self.warm_bneck[r.index()] {
@@ -1461,17 +1617,20 @@ impl Engine {
         }
         let Some(r) = cand else { return false };
         let n = self.flows_on[r.index()].len();
-        if n != self.comp_flows.len() {
+        let slot = &self.comp_cache[self.comp_slot];
+        if n != slot.live {
             return false;
         }
-        for &fid in &self.comp_flows {
-            let hits = self.flows[fid.index()].route.as_slice().iter().filter(|&&h| h == r).count();
-            if hits != 1 {
-                return false;
+        if slot.dups > 0 {
+            for &fid in &self.comp_flows {
+                let hops = self.flows[fid.index()].route.as_slice();
+                if hops.iter().filter(|&&h| h == r).count() != 1 {
+                    return false;
+                }
             }
         }
         let share = self.resources[r.index()].capacity.effective(n).max(0.0) / n as f64;
-        if info.min_cap < share {
+        if min_cap < share {
             return false;
         }
         for &q in &self.comp_resources {
@@ -1537,33 +1696,33 @@ impl Engine {
         true
     }
 
-    /// Rebuild `comp_resources` / `comp_flows` for `r0`'s component from
-    /// its cached membership, skipping the BFS. Valid whenever `r0`'s
-    /// label still points at a live slot: no attach has crossed the cached
-    /// set's boundary since capture, so the set is still closed under the
-    /// incidence relation and gathering each member resource's current
-    /// flows reproduces the component (possibly as a superset union of
-    /// post-split components, which solves to the same rates). The flow
-    /// list itself is always gathered fresh — only the resource-discovery
-    /// walk (the route-chasing part of the BFS) is skipped.
-    fn try_cached_component(&mut self, r0: ResourceId, gen: u64) -> Option<CompInfo> {
-        let label = self.comp_label_of(r0)?;
+    /// Load cached slot `slot`'s resource set into `comp_resources`,
+    /// skipping the BFS. Valid whenever the slot is live: no attach has
+    /// crossed the cached set's boundary since capture, so the set is
+    /// still closed under the incidence relation and its counts describe
+    /// the component (possibly a superset union of post-split components,
+    /// which solves to the same rates). The flows are read only by
+    /// [`Engine::gather_flows`], when the counts cannot answer.
+    fn load_cached_component(&mut self, slot: usize) {
         self.stats.memb_cache_hits += 1;
-        self.comp_resources.clear();
-        self.comp_flows.clear();
-        let mut info = CompInfo { has_cap: false, min_cap: f64::INFINITY };
-        let slot = label.slot as usize;
         self.comp_slot = slot;
-        let n = self.comp_cache[slot].resources.len();
-        debug_assert!(n > 0, "live slots hold at least their capture root");
-        for k in 0..n {
-            let r = self.comp_cache[slot].resources[k];
+        self.comp_resources.clear();
+        self.comp_resources.extend_from_slice(&self.comp_cache[slot].resources);
+        debug_assert!(!self.comp_resources.is_empty(), "live slots hold their capture root");
+    }
+
+    /// Gather the flows of the loaded cached component into `comp_flows`
+    /// (and give its resources their solver-local indices): one pass over
+    /// its incidence lists, taken only when a cap might bind or the shape
+    /// is not uniform (see [`Engine::resolve_from_counts`]).
+    fn gather_flows(&mut self, gen: u64) -> CompInfo {
+        for (k, r) in self.comp_resources.iter().enumerate() {
             self.res_mark[r.index()] = gen;
             self.res_local[r.index()] = k;
-            self.comp_resources.push(r);
         }
-        // The one pass over the component that no fast path avoids: split
-        // the borrows so it runs over plain slices.
+        self.comp_flows.clear();
+        let mut info = CompInfo { has_cap: false, min_cap: f64::INFINITY, capped: 0 };
+        // Split the borrows so the pass runs over plain slices.
         let Engine { flows_on, flow_mark, comp_flows, flows, model, comp_resources, .. } = self;
         for r in comp_resources.iter() {
             for on in &flows_on[r.index()] {
@@ -1575,20 +1734,23 @@ impl Engine {
                 comp_flows.push(on.flow);
                 if on.capped {
                     let slot = on.flow.index();
+                    info.capped += 1;
                     info.min_cap =
                         info.min_cap.min(model.effective_cap(slot, flows[slot].rate_cap));
                 }
             }
         }
         info.has_cap = info.min_cap < f64::INFINITY;
-        Some(info)
+        info
     }
 
     /// Store the just-walked component's resource set in the membership
-    /// cache and label its resources. Every walked resource necessarily
-    /// had a dead label (a live one would have answered the walk from the
-    /// cache), so capturing never strands a live slot.
-    fn capture_component(&mut self) {
+    /// cache, label its resources, and count its flows — every one solo:
+    /// no class survives the retirement of the labels the walk crossed.
+    /// Every walked resource necessarily had a dead label (a live one would
+    /// have answered the walk from the cache), so capturing never strands a
+    /// live slot.
+    fn capture_component(&mut self, info: &CompInfo) {
         let s = match self.free_comp_slots.pop() {
             Some(s) => s as usize,
             None => {
@@ -1606,6 +1768,16 @@ impl Engine {
             self.res_comp[r.index()] = CompLabel { slot: s as u32, stamp };
         }
         self.comp_cache[s].resources = resources;
+        debug_assert!(self.comp_cache[s].solo.is_empty(), "free slots hold no counts");
+        let mut dups = 0;
+        for k in 0..self.comp_flows.len() {
+            let f = &self.flows[self.comp_flows[k].index()];
+            debug_assert_eq!(f.class, NO_CLASS, "captured flows are solo");
+            dups += usize::from(f.route.repeats_a_hop());
+            self.list_solo(s, self.comp_flows[k].index() as u32);
+        }
+        let slot = &mut self.comp_cache[s];
+        (slot.live, slot.capped, slot.dups) = (self.comp_flows.len(), info.capped, dups);
         self.stats.memb_cache_builds += 1;
     }
 
@@ -1619,7 +1791,7 @@ impl Engine {
         self.comp_stack.clear();
         self.comp_stack.push(r0);
         self.res_mark[r0.index()] = gen;
-        let mut info = CompInfo { has_cap: false, min_cap: f64::INFINITY };
+        let mut info = CompInfo { has_cap: false, min_cap: f64::INFINITY, capped: 0 };
         while let Some(r) = self.comp_stack.pop() {
             self.res_local[r.index()] = self.comp_resources.len();
             self.comp_resources.push(r);
@@ -1630,6 +1802,7 @@ impl Engine {
                 }
                 self.flow_mark[fid.index()] = gen;
                 self.comp_flows.push(fid);
+                info.capped += usize::from(self.flows_on[r.index()][k].capped);
                 let cap = self.model.effective_cap(fid.index(), self.flows[fid.index()].rate_cap);
                 info.min_cap = info.min_cap.min(cap);
                 let route = std::mem::take(&mut self.flows[fid.index()].route);
@@ -3001,5 +3174,142 @@ mod tests {
         e.reset();
         assert_eq!(e.bandwidth_model_name(), "flow-level", "selection survives reset");
         assert_eq!(e.stats(), Stats::default(), "per-run model state cleared");
+    }
+
+    #[test]
+    fn capped_attach_falls_back_to_the_gather() {
+        let mut e = Engine::new();
+        let r = e.add_resource(ResourceSpec::constant(30.0));
+        e.start_flow(FlowSpec::new(300.0, &[r], Tag(1)));
+        e.start_flow(FlowSpec::new(300.0, &[r], Tag(2)));
+        e.settle_rates(); // the walk captures the component
+        assert_eq!(e.stats().joiner_resolves, 0);
+        e.start_flow(FlowSpec::new(300.0, &[r], Tag(3)));
+        e.settle_rates();
+        assert_eq!(e.stats().joiner_resolves, 1, "a cap-free joiner re-solves from the counts");
+        // A cap that cannot bind still sends the solve through the gather.
+        let c = e.start_flow(FlowSpec::new(300.0, &[r], Tag(4)).with_cap(100.0));
+        e.settle_rates();
+        let s = e.stats();
+        assert_eq!((s.joiner_resolves, s.closed_form_solves, s.memb_cache_hits), (1, 3, 2));
+        assert_eq!((clock_bits(&e, r).3, e.flow_rate(c)), (4, 7.5), "still one class");
+        // Its departure makes the component cap-free again.
+        e.cancel_flow(c);
+        e.settle_rates();
+        assert_eq!(e.stats().joiner_resolves, 2);
+        assert_eq!(e.flow_rate(FlowId(0)), 10.0);
+    }
+
+    #[test]
+    fn repeated_hop_route_falls_back_from_the_warm_counts() {
+        let mut e = Engine::new();
+        let wan = e.add_resource(ResourceSpec::constant(10.0));
+        let l1 = e.add_resource(ResourceSpec::constant(100.0));
+        let l2 = e.add_resource(ResourceSpec::constant(100.0));
+        e.start_flow(FlowSpec::new(50.0, &[wan, l1], Tag(1)));
+        e.start_flow(FlowSpec::new(80.0, &[wan, l2], Tag(2)));
+        e.settle_rates(); // general solve: wan is the sole bottleneck
+        e.start_flow(FlowSpec::new(80.0, &[wan, l2], Tag(3)));
+        e.settle_rates();
+        let s = e.stats();
+        assert_eq!((s.warm_refills, s.joiner_resolves), (1, 1), "a warm multi-resource joiner");
+        // Crossing l1 twice still crosses wan once: the re-fill holds, but
+        // only the gathered routes can tell.
+        let dup = e.start_flow(FlowSpec::new(80.0, &[wan, l1, l1], Tag(4)));
+        e.settle_rates();
+        let s = e.stats();
+        assert_eq!((s.warm_refills, s.joiner_resolves), (2, 1));
+        assert_eq!(e.flow_rate(dup), 2.5);
+        e.cancel_flow(dup);
+        e.start_flow(FlowSpec::new(80.0, &[wan, l1], Tag(5)));
+        e.settle_rates();
+        let s = e.stats();
+        assert_eq!((s.warm_refills, s.joiner_resolves), (3, 2), "no repeated hop left");
+        assert_eq!(e.flow_rate(FlowId(0)), 2.5);
+    }
+
+    #[test]
+    fn dissolved_class_reforms_from_the_counts() {
+        let mut e = Engine::new();
+        let r = e.add_resource(ResourceSpec::constant(30.0));
+        let q = e.add_resource(ResourceSpec::constant(30.0));
+        let a = e.start_flow(FlowSpec::new(300.0, &[r], Tag(0xA)));
+        e.start_flow(FlowSpec::new(300.0, &[r], Tag(0xB)));
+        e.settle_rates();
+        // A binding cap dissolves the class: every flow goes solo.
+        e.start_flow(FlowSpec::new(50.0, &[r], Tag(0xC)).with_cap(5.0));
+        e.settle_rates();
+        assert_eq!((e.stats().class_dissolves, clock_bits(&e, r).3), (1, 0));
+        // The capped flow leaves at t = 10: the solo flows re-form the
+        // class from the counts, both joining.
+        assert_eq!(e.next().unwrap().tag(), Tag(0xC));
+        e.settle_rates();
+        let s = e.stats();
+        assert_eq!((s.joiner_resolves, s.class_joins, clock_bits(&e, r).3), (1, 4, 2));
+        assert_eq!(e.flow_rate(a), 15.0);
+        // A flow across two cached components retires both (their classes
+        // dissolve) and the walk re-captures the merged one with fresh
+        // counts. Two resources and no sole bottleneck on record: the next
+        // joiner goes through the gather.
+        e.start_flow(FlowSpec::new(300.0, &[q], Tag(0xD)));
+        e.settle_rates();
+        e.start_flow(FlowSpec::new(300.0, &[r, q], Tag(0xE)));
+        e.settle_rates();
+        let s = e.stats();
+        assert_eq!((s.class_dissolves, s.memb_cache_builds, s.joiner_resolves), (3, 3, 1));
+        let f = e.start_flow(FlowSpec::new(300.0, &[q], Tag(0xF)));
+        e.settle_rates();
+        let s = e.stats();
+        assert_eq!((s.joiner_resolves, s.memb_cache_hits, e.flow_rate(f)), (1, 3, 10.0));
+    }
+
+    #[test]
+    fn solo_renewal_joins_at_the_next_uniform_resolve() {
+        let mut e = Engine::new();
+        let r = e.add_resource(ResourceSpec::constant(30.0));
+        let k = e.start_flow(FlowSpec::new(1000.0, &[r], Tag(0)).with_cap(5.0));
+        e.start_flow(FlowSpec::new(25.0, &[r], Tag(1)));
+        let b = e.start_flow(FlowSpec::new(1000.0, &[r], Tag(2)));
+        e.settle_rates(); // cap sweep: no class, every flow solo
+        assert_eq!(e.next().unwrap().tag(), Tag(1));
+        // The renewal inherits its solo twin's rate and keeps its slot's
+        // place among the solo flows.
+        let a = e.start_flow(FlowSpec::new(25.0, &[r], Tag(1)));
+        e.settle_rates();
+        let s = e.stats();
+        assert_eq!((s.swap_inherits, s.component_solves, e.flow_rate(a)), (1, 1, 12.5));
+        // Without the cap, both solo flows join the re-formed class.
+        e.cancel_flow(k);
+        e.settle_rates();
+        let s = e.stats();
+        assert_eq!((s.joiner_resolves, s.class_joins, clock_bits(&e, r).3), (1, 2, 2));
+        assert_eq!((e.flow_rate(a), e.flow_rate(b)), (15.0, 15.0));
+    }
+
+    #[test]
+    fn rerate_storm_resolves_from_the_counts() {
+        // The kernel bench's storm in small: distinct sizes on one
+        // resource, each completion reissued after a latency, so every
+        // event re-solves the component with one flow fewer or one more.
+        let n = 16;
+        let mut e = Engine::new();
+        let r = e.add_resource(ResourceSpec::constant(100.0));
+        let size = |i: usize| 1.0 + i as f64 / n as f64;
+        let mut remaining = vec![3u32; n];
+        for i in 0..n {
+            e.start_flow(FlowSpec::new(size(i), &[r], Tag(i as u64)));
+        }
+        while let Some(ev) = e.next() {
+            let i = ev.tag().0 as usize;
+            if remaining[i] > 0 {
+                remaining[i] -= 1;
+                e.start_flow(FlowSpec::new(size(i), &[r], Tag(i as u64)).with_latency(1e-3));
+            }
+        }
+        let s = e.stats();
+        assert_eq!(s.flow_completions, 4 * n as u64);
+        assert!(s.joiner_resolves > 2 * n as u64, "{s:?}");
+        // Every cached re-solve with flows left read only its joiners.
+        assert_eq!(s.memb_cache_hits - s.joiner_resolves, 1, "{s:?}");
     }
 }

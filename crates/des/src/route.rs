@@ -77,6 +77,13 @@ impl Route {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+
+    /// Whether some resource appears more than once.
+    #[inline]
+    pub fn repeats_a_hop(&self) -> bool {
+        let hops = self.as_slice();
+        (1..hops.len()).any(|i| hops[..i].contains(&hops[i]))
+    }
 }
 
 impl PartialEq for Route {
@@ -104,6 +111,18 @@ mod tests {
             assert_eq!(r.len(), n);
             assert_eq!(r.is_empty(), n == 0);
         }
+    }
+
+    #[test]
+    fn repeated_hops_are_detected_inline_and_spilled() {
+        let r = |hops: &[u32]| {
+            Route::from_slice(&hops.iter().map(|&h| ResourceId(h)).collect::<Vec<_>>())
+        };
+        assert!(!r(&[]).repeats_a_hop());
+        assert!(!r(&[1, 2, 3]).repeats_a_hop());
+        assert!(r(&[1, 2, 1]).repeats_a_hop());
+        assert!(!r(&[0, 1, 2, 3, 4, 5]).repeats_a_hop());
+        assert!(r(&[0, 1, 2, 3, 4, 3]).repeats_a_hop());
     }
 
     #[test]

@@ -33,10 +33,11 @@ pub struct Stats {
     /// inherited its rate, with no solve at all (the steady state of
     /// pipelined chunk streams).
     pub swap_inherits: u64,
-    /// Cumulative flows gathered across all component solves, whichever
-    /// path answered (a global-recompute engine would accumulate
-    /// live-flows x events here). Gathering is what stays linear in the
-    /// component; re-rating it is `class_rerates` + `event_rekeys`.
+    /// Cumulative component populations across all component solves — the
+    /// flows a gather would collect — whichever path answered (a
+    /// global-recompute engine would accumulate live-flows x events here).
+    /// A solve in `joiner_resolves` counts its population without reading
+    /// it; re-rating it is `class_rerates` + `event_rekeys`.
     pub flows_resolved: u64,
     /// Resources registered.
     pub resources: u64,
@@ -67,6 +68,12 @@ pub struct Stats {
     /// Component solves answered by a closed form (single resource with or
     /// without caps, two uncapped resources) instead of the general solver.
     pub closed_form_solves: u64,
+    /// Uniform re-solves of a cached component answered from its counts
+    /// alone (cap-free, and one resource or no repeated hop): the share is
+    /// computed and only the solo flows join, no member read and no
+    /// incidence list gathered. A subset of `closed_form_solves` +
+    /// `warm_refills`.
+    pub joiner_resolves: u64,
     /// Component solves whose membership came from the incremental
     /// component-membership cache — the `collect_component` BFS (route
     /// chasing and resource discovery) was skipped, and only the member
