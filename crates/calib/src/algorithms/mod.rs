@@ -31,7 +31,7 @@ pub use random::RandomSearch;
 
 use crate::budget::{Budget, BudgetTracker};
 use crate::history::History;
-use crate::objective::ResettableObjective;
+use crate::objective::Objective;
 use crate::result::CalibrationResult;
 use crate::runner::Evaluator;
 use crate::space::ParamSpace;
@@ -50,7 +50,7 @@ pub trait Calibrator {
 /// drive `algo`, and assemble the result.
 pub fn calibrate(
     algo: &mut dyn Calibrator,
-    objective: &dyn ResettableObjective,
+    objective: &dyn Objective,
     space: &ParamSpace,
     budget: Budget,
 ) -> CalibrationResult {
@@ -60,7 +60,7 @@ pub fn calibrate(
 /// [`calibrate`] with an explicit worker count (`None` = all cores).
 pub fn calibrate_with_workers(
     algo: &mut dyn Calibrator,
-    objective: &dyn ResettableObjective,
+    objective: &dyn Objective,
     space: &ParamSpace,
     budget: Budget,
     workers: Option<usize>,

@@ -2,26 +2,23 @@
 //!
 //! The paper allots a fixed wall-clock time `T` to each calibration (6 hours
 //! in the case study) rather than an evaluation count, because parameter
-//! values can change the simulator's execution time. We support three modes:
+//! values can change the simulator's execution time. There are two modes:
 //!
-//! * [`Budget::WallClock`] — the paper's mode;
 //! * [`Budget::Evaluations`] — deterministic and machine-independent, the
 //!   default for reproducible tests;
-//! * [`Budget::SimulatedCost`] — bounds the *sum of evaluation times*:
-//!   machine-load-insensitive and still cost-sensitive, used by the
-//!   speed/accuracy trade-off experiments (Table VI) where slower simulator
-//!   granularities must get proportionally fewer evaluations.
+//! * [`Budget::SimulatedCost`] — stands in for the paper's time budget `T`:
+//!   it bounds the *sum of evaluation times* rather than the elapsed time,
+//!   so more workers do not buy more evaluations, while it stays
+//!   cost-sensitive: slower simulator granularities get proportionally
+//!   fewer evaluations (the speed/accuracy trade-off of Table VI).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
 /// A bound on calibration effort.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Budget {
     /// At most this many objective evaluations.
     Evaluations(u64),
-    /// Stop claiming new evaluations after this much wall-clock time.
-    WallClock(Duration),
     /// Stop once the accumulated per-evaluation cost (seconds of evaluation
     /// time) reaches this many seconds.
     SimulatedCost(f64),
@@ -33,7 +30,6 @@ impl Budget {
         assert!(factor > 0.0);
         match self {
             Budget::Evaluations(n) => Budget::Evaluations(((n as f64) * factor).ceil() as u64),
-            Budget::WallClock(d) => Budget::WallClock(d.mul_f64(factor)),
             Budget::SimulatedCost(c) => Budget::SimulatedCost(c * factor),
         }
     }
@@ -43,7 +39,6 @@ impl Budget {
 #[derive(Debug)]
 pub struct BudgetTracker {
     budget: Budget,
-    started: Instant,
     claimed: AtomicU64,
     completed: AtomicU64,
     /// Accumulated evaluation cost in nanoseconds (atomic integer to avoid
@@ -52,11 +47,10 @@ pub struct BudgetTracker {
 }
 
 impl BudgetTracker {
-    /// Start tracking the given budget now.
+    /// Start tracking the given budget.
     pub fn new(budget: Budget) -> Self {
         Self {
             budget,
-            started: Instant::now(),
             claimed: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             cost_nanos: AtomicU64::new(0),
@@ -80,14 +74,6 @@ impl BudgetTracker {
                     false
                 } else {
                     true
-                }
-            }
-            Budget::WallClock(limit) => {
-                if self.started.elapsed() < limit {
-                    self.claimed.fetch_add(1, Ordering::Relaxed);
-                    true
-                } else {
-                    false
                 }
             }
             Budget::SimulatedCost(limit_secs) => {
@@ -115,7 +101,6 @@ impl BudgetTracker {
     pub fn exhausted(&self) -> bool {
         match self.budget {
             Budget::Evaluations(n) => self.claimed.load(Ordering::Relaxed) >= n,
-            Budget::WallClock(limit) => self.started.elapsed() >= limit,
             Budget::SimulatedCost(limit) => {
                 self.cost_nanos.load(Ordering::Relaxed) as f64 * 1e-9 >= limit
             }
@@ -168,21 +153,8 @@ mod tests {
     }
 
     #[test]
-    fn wallclock_budget_expires() {
-        let t = BudgetTracker::new(Budget::WallClock(Duration::from_millis(20)));
-        assert!(t.try_claim());
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(!t.try_claim());
-        assert!(t.exhausted());
-    }
-
-    #[test]
     fn scaling() {
         assert_eq!(Budget::Evaluations(100).scaled(0.5), Budget::Evaluations(50));
         assert_eq!(Budget::SimulatedCost(10.0).scaled(2.0), Budget::SimulatedCost(20.0));
-        assert_eq!(
-            Budget::WallClock(Duration::from_secs(10)).scaled(0.1),
-            Budget::WallClock(Duration::from_secs(1))
-        );
     }
 }

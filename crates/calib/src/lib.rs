@@ -10,11 +10,12 @@
 //!   parameter range");
 //! * an **objective** ([`Objective`]) mapping parameter values to a
 //!   simulation-accuracy discrepancy (lower is better);
-//! * a **time budget** ([`Budget`]): the paper bounds calibration by wall
-//!   time `T` (not by evaluation count, "because the value of some
-//!   parameters can impact the simulator's space- and time-complexity");
-//!   we additionally support deterministic evaluation-count and
-//!   simulated-cost budgets for reproducible experiments;
+//! * a **budget** ([`Budget`]): the paper bounds calibration by wall time
+//!   `T` (not by evaluation count, "because the value of some parameters
+//!   can impact the simulator's space- and time-complexity"); the
+//!   simulated-cost budget stands in for it, summing evaluation times
+//!   instead of watching the clock, next to a deterministic
+//!   evaluation-count budget;
 //! * a **parallel evaluator** ([`Evaluator`]): the paper runs one
 //!   simulation per core of a 40-core node; we run a scoped worker pool
 //!   sized by `available_parallelism`;
@@ -46,7 +47,7 @@ pub use algorithms::{
 pub use budget::{Budget, BudgetTracker};
 pub use error::{mae, mape, mre_percent, rmse};
 pub use history::{EvalRecord, History};
-pub use objective::{EvalContext, FnObjective, Objective, ResettableObjective};
+pub use objective::{EvalContext, FnObjective, Objective};
 pub use result::CalibrationResult;
 pub use runner::Evaluator;
 pub use space::{ParamSpace, ParamSpec};

@@ -1,15 +1,12 @@
 //! The objective trait: what calibration minimizes.
 //!
-//! Two layers:
-//!
-//! * [`Objective`] — the simple contract: values in, discrepancy out.
-//! * [`ResettableObjective`] — what the [`crate::Evaluator`] actually
-//!   drives: evaluation with a per-worker reusable [`EvalContext`], so
-//!   objectives that wrap expensive machinery (a simulator session, a
-//!   surrogate model) can reuse it across evaluations on the same worker
-//!   instead of rebuilding it per point. A blanket impl makes every
-//!   `Objective` a `ResettableObjective` for free; objectives that *can*
-//!   exploit the context override [`Objective::evaluate_with`].
+//! [`Objective::evaluate`] is the simple contract: values in, discrepancy
+//! out. The [`crate::Evaluator`] drives [`Objective::evaluate_with`]
+//! instead, which also hands over a per-worker reusable [`EvalContext`].
+//! Its default ignores the context and calls `evaluate`; objectives that
+//! wrap expensive machinery (a simulator session, a surrogate model)
+//! override it to reuse that machinery across the evaluations of one
+//! worker instead of rebuilding it per point.
 
 use std::any::Any;
 
@@ -73,20 +70,6 @@ pub trait Objective: Sync {
     }
 }
 
-/// The evaluator-facing contract: evaluation with a per-worker reusable
-/// context. Blanket-implemented for every [`Objective`], so existing
-/// objectives participate unchanged.
-pub trait ResettableObjective: Sync {
-    /// Evaluate the discrepancy at `values`, reusing `ctx` state.
-    fn evaluate_with(&self, ctx: &mut EvalContext, values: &[f64]) -> f64;
-}
-
-impl<T: Objective + ?Sized> ResettableObjective for T {
-    fn evaluate_with(&self, ctx: &mut EvalContext, values: &[f64]) -> f64 {
-        Objective::evaluate_with(self, ctx, values)
-    }
-}
-
 /// Wrap a plain function/closure as an objective (tests, toy problems).
 pub struct FnObjective<F: Fn(&[f64]) -> f64 + Sync>(pub F);
 
@@ -114,6 +97,9 @@ mod tests {
     fn fn_objective_delegates() {
         let o = FnObjective(|v: &[f64]| v.iter().sum());
         assert_eq!(o.evaluate(&[1.0, 2.0]), 3.0);
+        // What the evaluator calls: the default ignores the context.
+        let d: &dyn Objective = &o;
+        assert_eq!(d.evaluate_with(&mut EvalContext::new(), &[1.0, 2.0]), 3.0);
     }
 
     #[test]
@@ -144,19 +130,6 @@ mod tests {
     }
 
     #[test]
-    fn blanket_resettable_ignores_context() {
-        struct Counting;
-        impl Objective for Counting {
-            fn evaluate(&self, v: &[f64]) -> f64 {
-                v[0] * 2.0
-            }
-        }
-        let mut ctx = EvalContext::new();
-        let r: &dyn ResettableObjective = &Counting;
-        assert_eq!(r.evaluate_with(&mut ctx, &[21.0]), 42.0);
-    }
-
-    #[test]
     fn overriding_evaluate_with_sees_worker_state() {
         struct Stateful;
         impl Objective for Stateful {
@@ -171,8 +144,8 @@ mod tests {
         }
         let mut ctx = EvalContext::new();
         let o = Stateful;
-        assert_eq!(ResettableObjective::evaluate_with(&o, &mut ctx, &[0.0]), 1.0);
-        assert_eq!(ResettableObjective::evaluate_with(&o, &mut ctx, &[0.0]), 2.0);
+        assert_eq!(o.evaluate_with(&mut ctx, &[0.0]), 1.0);
+        assert_eq!(o.evaluate_with(&mut ctx, &[0.0]), 2.0);
         // One-shot evaluate uses a throwaway context.
         assert_eq!(o.evaluate(&[0.0]), 1.0);
     }

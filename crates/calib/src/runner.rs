@@ -19,12 +19,12 @@ use std::sync::{mpsc, Mutex};
 
 use crate::budget::BudgetTracker;
 use crate::history::History;
-use crate::objective::{EvalContext, ResettableObjective};
+use crate::objective::{EvalContext, Objective};
 use crate::space::ParamSpace;
 
 /// Budget-aware, history-recording parallel evaluator.
 pub struct Evaluator<'a> {
-    objective: &'a dyn ResettableObjective,
+    objective: &'a dyn Objective,
     space: &'a ParamSpace,
     budget: &'a BudgetTracker,
     history: &'a History,
@@ -47,7 +47,7 @@ fn as_seen(error: f64) -> f64 {
 impl<'a> Evaluator<'a> {
     /// An evaluator using one worker per available core.
     pub fn new(
-        objective: &'a dyn ResettableObjective,
+        objective: &'a dyn Objective,
         space: &'a ParamSpace,
         budget: &'a BudgetTracker,
         history: &'a History,

@@ -64,7 +64,7 @@
 //! Route-less churn between a completion and its reissue does not disturb
 //! a parked twin; a foreign routed start or cancel marks its resources
 //! dirty, so the component is re-solved and the renewed flow's inherited
-//! rate overwritten. Flows whose cap a dynamic bandwidth model drives
+//! rate overwritten. Flows whose cap the flow-level WAN model drives
 //! never park and never renew.
 //!
 //! ## Scheduling completions: solo entries and component clocks
@@ -103,7 +103,7 @@
 //! A class **dissolves** — every member back to an entry of its own, at
 //! the class's share, with `remaining = tag − v(now)` — when a solve's
 //! outcome is not one share (the cap sweep, the two-resource form, the
-//! general solver, where a binding window of a dynamic bandwidth model
+//! general solver, where a binding window of the flow-level WAN model
 //! also lands) and when an attach retires the cached membership the class
 //! hangs off. The next uniform solve re-forms it.
 //!
@@ -147,12 +147,12 @@
 use crate::eventlist::{Completion, CompletionList};
 use crate::flow::{FlowSpec, FlowState, FlowStatus, NO_CLASS};
 use crate::ids::{FlowId, ResourceId, Tag, TimerId};
-use crate::model::{BandwidthModel, BandwidthModelConfig, ModelDispatch, WanSpec};
 use crate::resource::ResourceSpec;
 use crate::route::Route;
 use crate::sharing::{SolveScratch, MAX_RATE};
 use crate::stats::Stats;
 use crate::timer::{TimerKind, TimerQueue};
+use crate::wan::{FlowLevelParams, FlowLevelWan, ModelCounters, WanSpec};
 
 /// An event delivered to the caller by [`Engine::next`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,7 +213,7 @@ struct OnEntry {
     flow: FlowId,
     hop: u32,
     /// Whether the flow can be capped at all (a static cap, or a window
-    /// the bandwidth model drives): the gather reads the flow table only
+    /// the flow-level model drives): the gather reads the flow table only
     /// for these.
     capped: bool,
 }
@@ -317,6 +317,18 @@ struct CompLabel {
     stamp: u64,
 }
 
+/// The cap the solver sees for the flow in `slot` with static cap `base`:
+/// `base` itself under max–min, tightened by the flow's window under the
+/// flow-level model. A free function so that split-borrow passes over the
+/// engine's fields can call it.
+#[inline]
+fn effective_cap(wan: &Option<FlowLevelWan>, slot: usize, base: f64) -> f64 {
+    match wan {
+        Some(m) => m.effective_cap(slot, base),
+        None => base,
+    }
+}
+
 /// Fluid discrete-event simulation engine. See the crate docs for the model.
 #[derive(Debug, Default)]
 pub struct Engine {
@@ -415,11 +427,11 @@ pub struct Engine {
     scratch: SolveScratch,
     cap_sort: Vec<(f64, u32)>,
 
-    /// The bandwidth model behind the seam (see [`BandwidthModel`]): every
-    /// cap the solver reads, the parking gate, per-flow WAN
-    /// latency, and the pre-settle window hook route through it. Default
-    /// is the static max–min model, whose hooks are all identity no-ops.
-    model: ModelDispatch,
+    /// The flow-level WAN model, when selected: every cap the solver
+    /// reads, the parking gate, per-flow WAN latency and the pre-settle
+    /// window hook consult it. `None` is plain max–min, under which a
+    /// flow's WAN annotation is inert.
+    wan: Option<FlowLevelWan>,
     /// Scratch: slots whose effective caps changed in a window update.
     wan_changed: Vec<u32>,
 }
@@ -437,8 +449,8 @@ impl Engine {
     }
 
     /// Engine statistics so far. The event-queue counters (pushes, pops,
-    /// re-keys, stale drops) and the bandwidth model's WAN counters are
-    /// merged in from their owners at read time.
+    /// re-keys, stale drops) and the WAN model's counters are merged in
+    /// from their owners at read time.
     #[inline]
     pub fn stats(&self) -> Stats {
         let mut s = self.stats;
@@ -447,27 +459,31 @@ impl Engine {
         s.event_pops = c.pops + k.pops + t.pops;
         s.event_rekeys = c.rekeys + k.rekeys;
         s.event_stale_drops = t.stale_drops;
-        let m = self.model.counters();
+        let m = self.wan.as_ref().map_or_else(ModelCounters::default, FlowLevelWan::counters);
         s.wan_flows = m.wan_flows;
         s.wan_window_cuts = m.wan_window_cuts;
         s.wan_window_bumps = m.wan_window_bumps;
         s
     }
 
-    /// Select the bandwidth model behind the seam: the default incremental
-    /// max–min solver, or the flow-level WAN backend (propagation delay,
-    /// AIMD windows, QDisc queueing feedback — see [`crate::FlowLevelWan`]).
-    /// Swapping models discards the previous model's per-flow state, so
-    /// callers set it right after construction or [`Engine::reset`],
-    /// before starting flows.
-    pub fn set_bandwidth_model(&mut self, config: BandwidthModelConfig) {
-        self.model = ModelDispatch::from_config(config);
+    /// Select the rate model: `None` for the default incremental max–min
+    /// solver, or the flow-level WAN model on top of it (propagation delay,
+    /// AIMD windows, QDisc queueing feedback — see [`FlowLevelWan`]).
+    /// Selecting discards the previous model's per-flow state, so callers
+    /// set it right after construction or [`Engine::reset`], before
+    /// starting flows.
+    pub fn set_wan_model(&mut self, params: Option<FlowLevelParams>) {
+        self.wan = params.map(FlowLevelWan::new);
     }
 
-    /// Short stable name of the active bandwidth model (`"maxmin"` /
+    /// Short stable name of the active rate model (`"maxmin"` /
     /// `"flow-level"`).
     pub fn bandwidth_model_name(&self) -> &'static str {
-        self.model.name()
+        if self.wan.is_some() {
+            "flow-level"
+        } else {
+            "maxmin"
+        }
     }
 
     /// Clear all simulation state — flows, timers, resources, clock, and
@@ -516,7 +532,9 @@ impl Engine {
         self.solo_pos.clear();
         // The model selection survives the reset; only its per-run flow
         // state is cleared.
-        self.model.reset();
+        if let Some(w) = &mut self.wan {
+            w.reset();
+        }
         // res_mark/res_local stay valid: marks are generation-stamped.
     }
 
@@ -538,9 +556,9 @@ impl Engine {
 
     /// Start a flow; returns its id. The flow begins consuming bandwidth
     /// after its latency (if any) elapses. A WAN-annotated flow
-    /// ([`FlowSpec::with_wan`]) additionally pays the bandwidth model's
-    /// propagation delay and is registered with the model's per-flow
-    /// state; under the default max–min model the annotation is inert.
+    /// ([`FlowSpec::with_wan`]) additionally pays its propagation delay and
+    /// is registered with the flow-level model's per-flow state; under the
+    /// default max–min the annotation is inert.
     pub fn start_flow(&mut self, mut spec: FlowSpec) -> FlowId {
         spec.validate();
         for r in spec.route.as_slice() {
@@ -549,7 +567,9 @@ impl Engine {
         let wan = spec.wan;
         if let Some(w) = wan {
             assert!(w.bottleneck.index() < self.resources.len(), "unknown WAN bottleneck");
-            spec.latency += self.model.extra_latency(w.delay);
+            if self.wan.is_some() {
+                spec.latency += w.delay;
+            }
         }
         if let Some(k) = self.match_parked(&spec) {
             return self.renew(k, &spec);
@@ -591,23 +611,38 @@ impl Engine {
         id
     }
 
-    /// Register a WAN-annotated flow with the bandwidth model.
+    /// Register a WAN-annotated flow with the flow-level model, if any.
     fn register_wan(&mut self, slot: u32, w: WanSpec) {
-        let cap = self.resources[w.bottleneck.index()].capacity.effective(1);
-        self.model.on_start(slot as usize, w, cap, self.time);
+        if let Some(m) = &mut self.wan {
+            let cap = self.resources[w.bottleneck.index()].capacity.effective(1);
+            m.on_start(slot as usize, w, cap, self.time);
+        }
+    }
+
+    /// Deregister the flow in `slot` from the flow-level model, if any.
+    fn deregister_wan(&mut self, slot: usize) {
+        if let Some(m) = &mut self.wan {
+            m.on_end(slot);
+        }
+    }
+
+    /// Whether the flow-level model drives the cap of the flow in `slot`.
+    #[inline]
+    fn is_dynamic(&self, slot: usize) -> bool {
+        self.wan.as_ref().is_some_and(|m| m.is_dynamic(slot))
     }
 
     /// Index of a parked completion with this spec's exact (route, cap)
     /// signature, for a flow that starts consuming at once. Identical
     /// signatures always receive identical max–min rates, so any match is
-    /// valid — except for a flow whose effective cap the bandwidth model
+    /// valid — except for a flow whose effective cap the flow-level model
     /// will drive dynamically: an inherited rate would bake in the twin's
     /// (stale) cap, so it always takes a real attach.
     fn match_parked(&self, spec: &FlowSpec) -> Option<usize> {
         if self.batch_candidates.is_empty() || spec.route.is_empty() || spec.latency > 0.0 {
             return None;
         }
-        if spec.wan.is_some() && self.model.is_windowed() {
+        if spec.wan.is_some() && self.wan.as_ref().is_some_and(FlowLevelWan::is_windowed) {
             return None;
         }
         let cap = spec.rate_cap.unwrap_or(f64::INFINITY);
@@ -718,7 +753,7 @@ impl Engine {
                 let f = &mut self.flows[id.index()];
                 f.status = FlowStatus::Cancelled;
                 f.rate = 0.0;
-                self.model.on_end(id.index());
+                self.deregister_wan(id.index());
                 self.detach(id);
                 self.free_slots.push(id.index() as u32);
                 self.live_count -= 1;
@@ -728,7 +763,7 @@ impl Engine {
                 let f = &mut self.flows[id.index()];
                 f.status = FlowStatus::Cancelled;
                 f.rate = 0.0;
-                self.model.on_end(id.index());
+                self.deregister_wan(id.index());
                 self.free_slots.push(id.index() as u32);
                 self.live_count -= 1;
                 self.stats.flows_cancelled += 1;
@@ -812,7 +847,7 @@ impl Engine {
         while let Some(c) = self.unfiled.pop() {
             self.file_class(c as usize);
         }
-        if self.model.wants_window_update(self.time) {
+        if self.wan.as_ref().is_some_and(|m| m.wants_window_update(self.time)) {
             self.update_wan_windows();
         }
         if !self.dirty_routeless.is_empty() || !self.dirty_queue.is_empty() {
@@ -832,13 +867,15 @@ impl Engine {
         self.batch_candidates.clear();
     }
 
-    /// Let the bandwidth model evolve its congestion windows to `now`, then
+    /// Let the flow-level model evolve its congestion windows to `now`, then
     /// mark the routes of every flow whose effective cap changed dirty so
     /// the settle that follows re-solves them under the new caps.
     fn update_wan_windows(&mut self) {
         let mut changed = std::mem::take(&mut self.wan_changed);
         changed.clear();
-        self.model.update_windows(self.time, &mut changed);
+        if let Some(m) = &mut self.wan {
+            m.update_windows(self.time, &mut changed);
+        }
         for &slot in &changed {
             if self.flows[slot as usize].status != FlowStatus::Active {
                 continue;
@@ -901,9 +938,9 @@ impl Engine {
     /// activations) is still performed, so a `None` means the next
     /// caller-visible event, if any, is at or after `bound`.
     ///
-    /// This is the multi-engine primitive: an engine driven under a
-    /// conservative lookahead may only process events inside its safety
-    /// window.
+    /// [`Engine::next`] is `next_before(∞)`. The simulator's one run loop
+    /// passes its horizon (or ∞) as the bound, and the multi-site driver
+    /// the edge of its conservative lookahead window.
     pub fn next_before(&mut self, bound: f64) -> Option<Event> {
         self.next_event(bound)
     }
@@ -1085,8 +1122,8 @@ impl Engine {
         // the queue occupancy every co-bottlenecked flow sees, so it must
         // be re-solved and must not offer its (stale-capped) rate for
         // inheritance. Every other completion parks.
-        let park = !f.route.is_empty() && !self.model.is_dynamic(id.index());
-        self.model.on_end(id.index());
+        let park = !f.route.is_empty() && !self.is_dynamic(id.index());
+        self.deregister_wan(id.index());
         if park {
             self.batch_candidates.push(Parked { slot: id.index() as u32, rate });
         } else {
@@ -1099,10 +1136,10 @@ impl Engine {
     }
 
     /// Whether anything can cap the flow: a static cap, or a window the
-    /// bandwidth model drives.
+    /// flow-level model drives.
     #[inline]
     fn is_capped(&self, id: FlowId) -> bool {
-        self.flows[id.index()].rate_cap.is_finite() || self.model.is_dynamic(id.index())
+        self.flows[id.index()].rate_cap.is_finite() || self.is_dynamic(id.index())
     }
 
     /// Append one incidence entry, recording its position for O(1) removal.
@@ -1423,7 +1460,7 @@ impl Engine {
         // solver's unconstrained maximum), assigned in O(1).
         while let Some(id) = self.dirty_routeless.pop() {
             if self.is_live_id(id) && self.flows[id.index()].status == FlowStatus::Active {
-                let cap = self.model.effective_cap(id.index(), self.flows[id.index()].rate_cap);
+                let cap = effective_cap(&self.wan, id.index(), self.flows[id.index()].rate_cap);
                 let rate = if cap.is_finite() { cap } else { MAX_RATE };
                 self.set_rate(id, rate);
                 self.stats.routeless_assigns += 1;
@@ -1569,7 +1606,7 @@ impl Engine {
         self.dissolve_class(self.comp_slot);
         self.cap_sort.clear();
         for (k, &fid) in self.comp_flows.iter().enumerate() {
-            let cap = self.model.effective_cap(fid.index(), self.flows[fid.index()].rate_cap);
+            let cap = effective_cap(&self.wan, fid.index(), self.flows[fid.index()].rate_cap);
             self.cap_sort.push((cap, k as u32));
         }
         self.cap_sort.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -1723,7 +1760,7 @@ impl Engine {
         self.comp_flows.clear();
         let mut info = CompInfo { has_cap: false, min_cap: f64::INFINITY, capped: 0 };
         // Split the borrows so the pass runs over plain slices.
-        let Engine { flows_on, flow_mark, comp_flows, flows, model, comp_resources, .. } = self;
+        let Engine { flows_on, flow_mark, comp_flows, flows, wan, comp_resources, .. } = self;
         for r in comp_resources.iter() {
             for on in &flows_on[r.index()] {
                 let mark = &mut flow_mark[on.flow.index()];
@@ -1735,8 +1772,7 @@ impl Engine {
                 if on.capped {
                     let slot = on.flow.index();
                     info.capped += 1;
-                    info.min_cap =
-                        info.min_cap.min(model.effective_cap(slot, flows[slot].rate_cap));
+                    info.min_cap = info.min_cap.min(effective_cap(wan, slot, flows[slot].rate_cap));
                 }
             }
         }
@@ -1803,7 +1839,7 @@ impl Engine {
                 self.flow_mark[fid.index()] = gen;
                 self.comp_flows.push(fid);
                 info.capped += usize::from(self.flows_on[r.index()][k].capped);
-                let cap = self.model.effective_cap(fid.index(), self.flows[fid.index()].rate_cap);
+                let cap = effective_cap(&self.wan, fid.index(), self.flows[fid.index()].rate_cap);
                 info.min_cap = info.min_cap.min(cap);
                 let route = std::mem::take(&mut self.flows[fid.index()].route);
                 for &r2 in route.as_slice() {
@@ -1833,7 +1869,7 @@ impl Engine {
                 ref comp_flows,
                 ref res_local,
                 ref res_mark,
-                ref model,
+                ref wan,
                 ..
             } = *self;
             scratch.clear();
@@ -1845,7 +1881,7 @@ impl Engine {
                 let f = &flows[fid.index()];
                 debug_assert!(f.route.as_slice().iter().all(|r| res_mark[r.index()] == gen));
                 scratch.push_flow_raw(
-                    model.effective_cap(fid.index(), f.rate_cap),
+                    effective_cap(wan, fid.index(), f.rate_cap),
                     f.route.as_slice().iter().map(|r| res_local[r.index()]),
                 );
             }
@@ -1869,7 +1905,6 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::resource::ResourceSpec;
-    use crate::wan::FlowLevelParams;
 
     #[test]
     fn single_flow_duration_is_demand_over_capacity() {
@@ -2444,7 +2479,7 @@ mod tests {
         // Degenerate flow-level: annotated flows are registered with the
         // model but not windowed, so they park and renew like any other.
         let mut e = Engine::new();
-        e.set_bandwidth_model(BandwidthModelConfig::FlowLevel(FlowLevelParams::degenerate()));
+        e.set_wan_model(Some(FlowLevelParams::degenerate()));
         let wan = e.add_resource(ResourceSpec::constant(10.0));
         let mk = |i: u64| FlowSpec::new(10.0, &[wan], Tag(i)).with_wan(0.0, wan);
         e.start_flow(mk(0));
@@ -2983,9 +3018,9 @@ mod tests {
     /// reissues, caps and latencies.
     #[test]
     fn degenerate_flow_level_matches_maxmin_bit_for_bit() {
-        fn run(config: BandwidthModelConfig) -> Vec<(u64, u64)> {
+        fn run(config: Option<FlowLevelParams>) -> Vec<(u64, u64)> {
             let mut e = Engine::new();
-            e.set_bandwidth_model(config);
+            e.set_wan_model(config);
             let wan = e.add_resource(ResourceSpec::constant(100.0));
             let nic = e.add_resource(ResourceSpec::constant(40.0));
             for i in 0..40u64 {
@@ -3018,8 +3053,8 @@ mod tests {
             log.push((u64::MAX, e.now().to_bits()));
             log
         }
-        let maxmin = run(BandwidthModelConfig::MaxMin);
-        let degen = run(BandwidthModelConfig::FlowLevel(FlowLevelParams::degenerate()));
+        let maxmin = run(None);
+        let degen = run(Some(FlowLevelParams::degenerate()));
         assert_eq!(maxmin, degen, "degenerate flow-level diverged from max-min");
     }
 
@@ -3031,7 +3066,7 @@ mod tests {
             additive_increase: 0.0, // freeze the window so the cap is exact
             ..FlowLevelParams::default()
         };
-        e.set_bandwidth_model(BandwidthModelConfig::FlowLevel(params));
+        e.set_wan_model(Some(params));
         let wan = e.add_resource(ResourceSpec::constant(1e9));
         let id = e.start_flow(FlowSpec::new(1e9, &[wan], Tag(1)).with_wan(0.01, wan));
         // The propagation delay defers the start; step past the activation.
@@ -3045,12 +3080,9 @@ mod tests {
     fn wan_propagation_delay_defers_completion() {
         // Under flow-level, the WAN annotation's delay adds start latency;
         // under max-min it is inert.
-        for (cfg, expect) in [
-            (BandwidthModelConfig::MaxMin, 1.0),
-            (BandwidthModelConfig::FlowLevel(FlowLevelParams::degenerate()), 1.5),
-        ] {
+        for (cfg, expect) in [(None, 1.0), (Some(FlowLevelParams::degenerate()), 1.5)] {
             let mut e = Engine::new();
-            e.set_bandwidth_model(cfg);
+            e.set_wan_model(cfg);
             let wan = e.add_resource(ResourceSpec::constant(1.0));
             e.start_flow(FlowSpec::new(1.0, &[wan], Tag(1)).with_wan(0.5, wan));
             let t = e.drain();
@@ -3062,9 +3094,9 @@ mod tests {
     fn dynamic_wan_flows_skip_swap_fast_path() {
         // A pipelined stream of identical windowed flows must never take the
         // inherit fast path: each departure changes the QDisc occupancy.
-        fn run(cfg: BandwidthModelConfig) -> Stats {
+        fn run(cfg: Option<FlowLevelParams>) -> Stats {
             let mut e = Engine::new();
-            e.set_bandwidth_model(cfg);
+            e.set_wan_model(cfg);
             let wan = e.add_resource(ResourceSpec::constant(100.0));
             let mk = |i: u64| FlowSpec::new(10.0, &[wan], Tag(i)).with_wan(0.001, wan);
             e.start_flow(mk(0));
@@ -3080,16 +3112,15 @@ mod tests {
             }
             e.stats()
         }
-        let maxmin = run(BandwidthModelConfig::MaxMin);
+        let maxmin = run(None);
         assert!(maxmin.swap_inherits > 0, "max-min should take the fast path");
-        let windowed = run(BandwidthModelConfig::FlowLevel(FlowLevelParams::default()));
+        let windowed = run(Some(FlowLevelParams::default()));
         assert_eq!(windowed.swap_inherits, 0, "windowed flows must not inherit rates");
         assert_eq!(windowed.wan_flows, 20);
     }
 
     mod degeneracy_oracle {
         use super::*;
-        use crate::wan::FlowLevelParams;
         use proptest::prelude::*;
 
         /// A random workload: per flow (demand grid, route selector, cap
@@ -3123,11 +3154,11 @@ mod tests {
                     ..FlowLevelParams::default()
                 };
                 fn run(
-                    config: BandwidthModelConfig,
+                    config: Option<FlowLevelParams>,
                     flows: &[(u32, u32, u32, u32, u32)],
                 ) -> Vec<(u64, u64)> {
                     let mut e = Engine::new();
-                    e.set_bandwidth_model(config);
+                    e.set_wan_model(config);
                     let wan = e.add_resource(ResourceSpec::constant(100.0));
                     let nic = e.add_resource(ResourceSpec::constant(40.0));
                     for (i, &(d, route, cap, lat, w)) in flows.iter().enumerate() {
@@ -3155,8 +3186,8 @@ mod tests {
                     }
                     log
                 }
-                let maxmin = run(BandwidthModelConfig::MaxMin, &flows);
-                let degen = run(BandwidthModelConfig::FlowLevel(params), &flows);
+                let maxmin = run(None, &flows);
+                let degen = run(Some(params), &flows);
                 prop_assert_eq!(maxmin, degen, "collapsed flow-level diverged");
             }
         }
@@ -3165,7 +3196,7 @@ mod tests {
     #[test]
     fn model_selection_survives_reset_but_counters_clear() {
         let mut e = Engine::new();
-        e.set_bandwidth_model(BandwidthModelConfig::FlowLevel(FlowLevelParams::default()));
+        e.set_wan_model(Some(FlowLevelParams::default()));
         assert_eq!(e.bandwidth_model_name(), "flow-level");
         let wan = e.add_resource(ResourceSpec::constant(10.0));
         e.start_flow(FlowSpec::new(5.0, &[wan], Tag(1)).with_wan(0.01, wan));

@@ -1,8 +1,8 @@
 //! Flow specifications and runtime state.
 
 use crate::ids::{ResourceId, Tag};
-use crate::model::WanSpec;
 use crate::route::Route;
+use crate::wan::WanSpec;
 
 /// Lifecycle of a flow inside the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +35,7 @@ pub struct FlowSpec {
     /// at `start + latency + demand / harmonic-mean-rate`.
     pub latency: f64,
     /// Optional WAN annotation: propagation delay and bottleneck resource,
-    /// consumed by dynamic bandwidth models ([`crate::BandwidthModel`]).
+    /// consumed by the flow-level WAN model ([`crate::Engine::set_wan_model`]).
     /// Inert under the default max–min model.
     pub wan: Option<WanSpec>,
 }
@@ -77,7 +77,7 @@ impl FlowSpec {
 
     /// Annotate the flow as a WAN transfer with one-way propagation
     /// `delay` whose QDisc bottleneck is `bottleneck` (must be on the
-    /// route). Ignored by static bandwidth models.
+    /// route). Ignored under max–min.
     #[inline]
     pub fn with_wan(mut self, delay: f64, bottleneck: ResourceId) -> Self {
         assert!(delay.is_finite() && delay >= 0.0, "WAN delay must be non-negative");

@@ -43,7 +43,6 @@ mod engine;
 mod eventlist;
 mod flow;
 mod ids;
-mod model;
 mod resource;
 mod route;
 mod sharing;
@@ -54,11 +53,10 @@ mod wan;
 pub use engine::{Engine, Event};
 pub use flow::{FlowSpec, FlowStatus};
 pub use ids::{FlowId, ResourceId, Tag, TimerId};
-pub use model::{BandwidthModel, BandwidthModelConfig, MaxMinModel, ModelCounters, WanSpec};
 pub use resource::{CapacityModel, ResourceSpec};
 pub use sharing::{solve_max_min, FlowInput, ResourceInput, SolveScratch, MAX_RATE};
 pub use stats::Stats;
-pub use wan::{FlowLevelParams, FlowLevelWan};
+pub use wan::{FlowLevelParams, FlowLevelWan, ModelCounters, WanSpec};
 
 /// Relative numerical tolerance used when deciding a flow's demand is done.
 pub const REL_EPS: f64 = 1e-9;

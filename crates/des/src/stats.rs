@@ -111,8 +111,8 @@ pub struct Stats {
     /// cannot represent (a binding cap, two shares, the general solver) or
     /// a retired cached membership.
     pub class_dissolves: u64,
-    /// WAN-annotated flows registered with the active bandwidth model
-    /// (zero under the default max–min model).
+    /// WAN-annotated flows registered with the flow-level WAN model (zero
+    /// under the default max–min).
     pub wan_flows: u64,
     /// Multiplicative congestion-window decreases applied by a flow-level
     /// WAN model (congestion signals observed).

@@ -42,15 +42,38 @@
 //! With `window: None` (unbounded) every flow's effective cap is exactly
 //! its static cap and no window ever evolves; with propagation delay 0 no
 //! extra latency is added. Under that configuration the model's hooks
-//! return the identical floats the [`crate::MaxMinModel`] hooks return, the
-//! engine takes the identical branches (parked renewals, warm
-//! refills), and traces are **bit-identical** to max–min. The integration
-//! suite pins this across the whole scenario registry.
+//! return the identical floats an engine without the model uses (the
+//! static cap, zero extra latency), the engine takes the identical
+//! branches (parked renewals, warm refills), and traces are
+//! **bit-identical** to max–min. The integration suite pins this across
+//! the whole scenario registry.
 
 use crate::ids::ResourceId;
-use crate::model::{BandwidthModel, ModelCounters, WanSpec};
 
-/// Parameters of the flow-level WAN model ([`crate::BandwidthModelConfig::FlowLevel`]).
+/// Per-flow WAN annotation carried by a [`crate::FlowSpec`]. Inert under
+/// max–min; consumed by the flow-level model.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WanSpec {
+    /// One-way propagation delay of this flow's WAN path, seconds.
+    pub delay: f64,
+    /// The bottleneck resource whose QDisc this flow queues at (must be on
+    /// the flow's route).
+    pub bottleneck: ResourceId,
+}
+
+/// Counters the flow-level model accumulates; merged into [`crate::Stats`]
+/// at read time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ModelCounters {
+    /// WAN-annotated flows registered with the model.
+    pub wan_flows: u64,
+    /// Multiplicative window decreases applied (congestion signals).
+    pub wan_window_cuts: u64,
+    /// Additive window increases applied.
+    pub wan_window_bumps: u64,
+}
+
+/// Parameters of the flow-level WAN model ([`crate::Engine::set_wan_model`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowLevelParams {
     /// Initial congestion window, bytes. `None` = unbounded (windowing
@@ -189,13 +212,8 @@ impl FlowLevelWan {
         }
     }
 
-    /// The configured parameters.
-    pub fn params(&self) -> &FlowLevelParams {
-        &self.params
-    }
-
     /// Whether the flows this model registers are windowed — what
-    /// [`BandwidthModel::is_dynamic`] will say of a flow not yet started.
+    /// [`is_dynamic`](Self::is_dynamic) will say of a flow not yet started.
     pub(crate) fn is_windowed(&self) -> bool {
         self.params.window.is_some()
     }
@@ -207,19 +225,10 @@ impl FlowLevelWan {
         self.btls.push(Btl { resource, cap, sum_w: 0.0, sum_delay: 0.0, n_windowed: 0 });
         (self.btls.len() - 1) as u32
     }
-}
 
-impl BandwidthModel for FlowLevelWan {
-    fn name(&self) -> &'static str {
-        "flow-level"
-    }
-
-    #[inline]
-    fn extra_latency(&self, delay: f64) -> f64 {
-        delay
-    }
-
-    fn on_start(&mut self, slot: usize, wan: WanSpec, bottleneck_cap: f64, now: f64) {
+    /// Register a WAN-annotated flow occupying flow-table slot `slot`.
+    /// `bottleneck_cap` is the base capacity of its bottleneck resource.
+    pub(crate) fn on_start(&mut self, slot: usize, wan: WanSpec, bottleneck_cap: f64, now: f64) {
         debug_assert!(wan.delay >= 0.0, "propagation delay must be non-negative");
         let btl = self.btl_index(wan.bottleneck, bottleneck_cap);
         let windowed = self.params.window.is_some();
@@ -242,7 +251,9 @@ impl BandwidthModel for FlowLevelWan {
         self.counters.wan_flows += 1;
     }
 
-    fn on_end(&mut self, slot: usize) {
+    /// Deregister a flow (completion or cancellation); a no-op for slots
+    /// that were never registered.
+    pub(crate) fn on_end(&mut self, slot: usize) {
         let Some(e) = self.entries.get_mut(slot).and_then(Option::take) else {
             return;
         };
@@ -267,13 +278,20 @@ impl BandwidthModel for FlowLevelWan {
         }
     }
 
+    /// Whether the flow in `slot` has a *dynamic* effective cap. Dynamic
+    /// flows are excluded from the identical-signature swap fast path:
+    /// their completions are detached and re-solved, never parked.
     #[inline]
-    fn is_dynamic(&self, slot: usize) -> bool {
+    pub(crate) fn is_dynamic(&self, slot: usize) -> bool {
         matches!(self.entries.get(slot), Some(Some(e)) if e.windowed)
     }
 
+    /// The flow's effective rate cap given its static cap `base`
+    /// (`f64::INFINITY` = uncapped). Returns `base` exactly for flows the
+    /// model does not constrain — the degeneracy guarantee rides on this
+    /// being the identical float.
     #[inline]
-    fn effective_cap(&self, slot: usize, base: f64) -> f64 {
+    pub(crate) fn effective_cap(&self, slot: usize, base: f64) -> f64 {
         match self.entries.get(slot) {
             Some(Some(e)) if e.windowed => {
                 let q = self.btls[e.btl as usize].queueing_delay();
@@ -288,12 +306,17 @@ impl BandwidthModel for FlowLevelWan {
         }
     }
 
+    /// Whether [`update_windows`](Self::update_windows) has work to do
+    /// before the settle at time `now`.
     #[inline]
-    fn wants_window_update(&self, now: f64) -> bool {
+    pub(crate) fn wants_window_update(&self, now: f64) -> bool {
         self.n_windowed > 0 && now > self.last_evolve
     }
 
-    fn update_windows(&mut self, now: f64, changed: &mut Vec<u32>) {
+    /// Evolve the windows to `now` (AIMD steps); push the slots whose
+    /// effective caps changed onto `changed` so the engine can dirty-mark
+    /// their routes.
+    pub(crate) fn update_windows(&mut self, now: f64, changed: &mut Vec<u32>) {
         if self.n_windowed == 0 || now <= self.last_evolve {
             return;
         }
@@ -345,12 +368,14 @@ impl BandwidthModel for FlowLevelWan {
         }
     }
 
+    /// Accumulated model counters.
     #[inline]
-    fn counters(&self) -> ModelCounters {
+    pub(crate) fn counters(&self) -> ModelCounters {
         self.counters
     }
 
-    fn reset(&mut self) {
+    /// Clear all per-run state, keeping allocations.
+    pub(crate) fn reset(&mut self) {
         self.entries.clear();
         self.active.clear();
         self.btls.clear();
@@ -372,7 +397,6 @@ mod tests {
     fn degenerate_params_pass_caps_through() {
         let mut m = FlowLevelWan::new(FlowLevelParams::degenerate());
         m.on_start(0, wan(0.0), 100.0, 0.0);
-        assert_eq!(m.extra_latency(0.0), 0.0);
         assert_eq!(m.effective_cap(0, 42.0), 42.0);
         assert_eq!(m.effective_cap(0, f64::INFINITY), f64::INFINITY);
         assert!(!m.is_dynamic(0));

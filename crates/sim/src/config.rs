@@ -1,6 +1,6 @@
 //! Simulation configuration: hardware parameters, granularity, noise.
 
-use simcal_des::{BandwidthModelConfig, FlowLevelParams};
+use simcal_des::FlowLevelParams;
 use simcal_platform::HardwareParams;
 use simcal_storage::XRootDConfig;
 
@@ -30,11 +30,13 @@ impl WanModel {
         }
     }
 
-    /// Lower the selection to the engine-facing model configuration.
-    pub fn to_engine(&self) -> BandwidthModelConfig {
+    /// Lower the selection to the engine's
+    /// [`set_wan_model`](simcal_des::Engine::set_wan_model) argument
+    /// (`None` = max–min).
+    pub fn to_engine(&self) -> Option<FlowLevelParams> {
         match self {
-            WanModel::MaxMin => BandwidthModelConfig::MaxMin,
-            WanModel::FlowLevel(cfg) => BandwidthModelConfig::FlowLevel(FlowLevelParams {
+            WanModel::MaxMin => None,
+            WanModel::FlowLevel(cfg) => Some(FlowLevelParams {
                 window: cfg.window,
                 gain: cfg.gain,
                 additive_increase: cfg.additive_increase,

@@ -165,7 +165,7 @@ impl<'a> SiteSim<'a> {
         lat: Vec<f64>,
     ) -> Self {
         let mut engine = Engine::new();
-        engine.set_bandwidth_model(cfg.wan_model.to_engine());
+        engine.set_wan_model(cfg.wan_model.to_engine());
         let res = PlatformResources::build(&mut engine, &ms.sites[site], &cfg.hardware);
         let is_hub = site == ms.storage_site;
 

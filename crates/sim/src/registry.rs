@@ -1007,6 +1007,11 @@ mod tests {
             alt.config.wan_model = WanModel::MaxMin;
             let maxmin = alt.run(&mut session);
             assert_eq!(flow.jobs.len(), maxmin.jobs.len(), "{}", sc.name);
+            // Selecting max–min on the session that just ran windows
+            // leaves no window state behind.
+            let fresh = alt.run(&mut crate::SimSession::new());
+            assert_eq!(maxmin.jobs, fresh.jobs, "{}: reused vs fresh session", sc.name);
+            assert_eq!(maxmin.engine_events, fresh.engine_events, "{}", sc.name);
             let rel = (flow.makespan() - maxmin.makespan()).abs() / maxmin.makespan();
             if rel > 1e-3 {
                 diverged += 1;

@@ -36,8 +36,8 @@ use crate::tags;
 pub enum SimError {
     /// The engine delivered a user-timer event whose tag is not a job
     /// release — the only timer kind the simulator sets. A future feature
-    /// that introduces more timers must extend the event dispatch in
-    /// [`SimSession::try_run`].
+    /// that introduces more timers must extend the event dispatch of
+    /// [`SimSession`]'s run loop.
     UnexpectedTimer {
         /// The tag carried by the rogue timer.
         tag: Tag,
@@ -84,10 +84,9 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Build and start a run on its assigned slot (shared by the three
-/// dispatch points: t=0 submission, release-timer dispatch, and queue
-/// pops on slot release — in both the run-to-completion and horizon
-/// loops).
+/// Build and start a run on its assigned slot (shared by the run loop's
+/// three dispatch points: t=0 submission, release-timer dispatch, and
+/// queue pops on slot release).
 fn start_job(
     job: usize,
     node: usize,
@@ -172,8 +171,54 @@ impl SimSession {
         cache: &CachePlan,
         config: &SimConfig,
     ) -> Result<ExecutionTrace, SimError> {
+        let (trace, _) = self.run_loop(platform, workload, cache, config, None)?;
+        if trace.jobs.len() != workload.len() {
+            return Err(SimError::UnfinishedJobs {
+                finished: trace.jobs.len(),
+                total: workload.len(),
+            });
+        }
+        Ok(trace)
+    }
+
+    /// Simulate an open-loop steady-state horizon: run the workload's
+    /// seeded arrival stream over `[0, horizon.duration)` and stop the
+    /// clock there, whether or not every job finished. Queue-wait and
+    /// slowdown percentiles are folded streaming (P²) in completion
+    /// order; jobs still running when the horizon closes contribute their
+    /// partial busy time to the utilization timeline but no percentile
+    /// samples. Deterministic like [`try_run`](Self::try_run).
+    pub fn try_run_horizon(
+        &mut self,
+        platform: &PlatformSpec,
+        workload: &Workload,
+        cache: &CachePlan,
+        config: &SimConfig,
+        horizon: &HorizonSpec,
+    ) -> Result<HorizonRun, SimError> {
+        let (trace, stats) = self.run_loop(platform, workload, cache, config, Some(horizon))?;
+        let report = stats.expect("a horizon run keeps stats").finish();
+        Ok(HorizonRun { trace, report })
+    }
+
+    /// The one event loop behind [`try_run`](Self::try_run) and
+    /// [`try_run_horizon`](Self::try_run_horizon). Without a horizon it
+    /// runs until the engine drains; with one it stops the clock at
+    /// `horizon.duration` and folds the steady-state statistics. Either
+    /// way the trace holds the jobs that finished, in job-index order.
+    fn run_loop(
+        &mut self,
+        platform: &PlatformSpec,
+        workload: &Workload,
+        cache: &CachePlan,
+        config: &SimConfig,
+        horizon: Option<&HorizonSpec>,
+    ) -> Result<(ExecutionTrace, Option<HorizonStats>), SimError> {
         let wall_start = Instant::now();
         config.validate();
+        if let Some(h) = horizon {
+            h.validate();
+        }
         platform.validate();
         workload.validate();
         assert_eq!(
@@ -184,7 +229,7 @@ impl SimSession {
 
         let engine = &mut self.engine;
         engine.reset();
-        engine.set_bandwidth_model(config.wan_model.to_engine());
+        engine.set_wan_model(config.wan_model.to_engine());
         let resources = PlatformResources::build(engine, platform, &config.hardware);
         let cores: Vec<u32> = platform.nodes.iter().map(|n| n.cores).collect();
         let scheduler = match self.scheduler.as_mut() {
@@ -200,14 +245,21 @@ impl SimSession {
         self.runs.resize_with(workload.len(), || None);
         let runs = &mut self.runs;
         let mut records: Vec<JobRecord> = Vec::with_capacity(workload.len());
+        let end = horizon.map_or(f64::INFINITY, |h| h.duration);
+        let mut stats = horizon
+            .map(|h| HorizonStats::new(h.duration, h.slo_wait, u64::from(platform.total_cores())));
 
-        // Submit every job released at t = 0 now (the legacy hot path —
-        // with no release times this is the entire submission phase);
-        // later releases arrive through engine timers, making the
-        // scheduler's queue/release machinery the dispatch path.
+        // Submit every job released at t = 0 now (with no release times
+        // this is the entire submission phase); later releases arrive
+        // through engine timers, making the scheduler's queue/release
+        // machinery the dispatch path. Timers at or past the horizon
+        // simply never fire.
         #[allow(clippy::needless_range_loop)] // `job` is an id, not just an index
         for job in 0..workload.len() {
             let release = config.release_time(workload.jobs[job].release);
+            if let Some(stats) = stats.as_mut().filter(|_| release < end) {
+                stats.on_release();
+            }
             if release > 0.0 {
                 engine.set_timer(release, tags::encode(tags::Kind::Release, job));
             } else if let Some((node, core)) = scheduler.submit(job) {
@@ -223,7 +275,7 @@ impl SimSession {
             }
         }
 
-        while let Some(event) = engine.next() {
+        while let Some(event) = engine.next_before(end) {
             let tag = match event {
                 Event::FlowCompleted { tag, .. } => tag,
                 Event::TimerFired { tag, .. } => {
@@ -252,150 +304,6 @@ impl SimSession {
             };
             let (kind, job) = tags::decode(tag);
             let Some(run) = runs[job].as_mut() else {
-                return Err(SimError::OrphanFlow { tag, at: engine.now() });
-            };
-            let finished = run
-                .on_event(kind, &mut Ctx { engine, res: &resources, cfg: config, rng: &mut rng });
-            if finished {
-                let (node, core) = (run.node, run.core);
-                let release = config.release_time(workload.jobs[job].release);
-                records.push(JobRecord {
-                    job,
-                    node,
-                    core,
-                    release,
-                    start: run.start,
-                    end: run.end,
-                });
-                if let Some((next_job, (n_node, n_core))) = scheduler.release(node, core) {
-                    start_job(
-                        next_job,
-                        n_node,
-                        n_core,
-                        workload,
-                        cache,
-                        runs,
-                        &mut Ctx { engine, res: &resources, cfg: config, rng: &mut rng },
-                    );
-                }
-            }
-        }
-
-        if records.len() != workload.len() {
-            return Err(SimError::UnfinishedJobs {
-                finished: records.len(),
-                total: workload.len(),
-            });
-        }
-        records.sort_by_key(|r| r.job);
-
-        let trace = ExecutionTrace {
-            jobs: records,
-            n_nodes: platform.node_count(),
-            engine_events: engine.stats().events(),
-            wall_seconds: wall_start.elapsed().as_secs_f64(),
-        };
-        trace.validate();
-        Ok(trace)
-    }
-
-    /// Simulate an open-loop steady-state horizon: run the workload's
-    /// seeded arrival stream over `[0, horizon.duration)` and stop the
-    /// clock there, whether or not every job finished. Queue-wait and
-    /// slowdown percentiles are folded streaming (P²) in completion
-    /// order; jobs still running when the horizon closes contribute their
-    /// partial busy time to the utilization timeline but no percentile
-    /// samples. Deterministic like [`try_run`](Self::try_run).
-    pub fn try_run_horizon(
-        &mut self,
-        platform: &PlatformSpec,
-        workload: &Workload,
-        cache: &CachePlan,
-        config: &SimConfig,
-        horizon: &HorizonSpec,
-    ) -> Result<HorizonRun, SimError> {
-        let wall_start = Instant::now();
-        config.validate();
-        horizon.validate();
-        platform.validate();
-        workload.validate();
-        assert_eq!(
-            cache.total_files(),
-            workload.total_files(),
-            "cache plan does not match workload"
-        );
-
-        let engine = &mut self.engine;
-        engine.reset();
-        engine.set_bandwidth_model(config.wan_model.to_engine());
-        let resources = PlatformResources::build(engine, platform, &config.hardware);
-        let cores: Vec<u32> = platform.nodes.iter().map(|n| n.cores).collect();
-        let scheduler = match self.scheduler.as_mut() {
-            Some(s) => {
-                s.reset(&cores, config.scheduler);
-                s
-            }
-            None => self.scheduler.insert(Scheduler::with_policy(&cores, config.scheduler)),
-        };
-        let mut rng = StdRng::seed_from_u64(config.noise.seed);
-
-        self.runs.clear();
-        self.runs.resize_with(workload.len(), || None);
-        let runs = &mut self.runs;
-        let mut records: Vec<JobRecord> = Vec::with_capacity(workload.len());
-        let mut stats = HorizonStats::new(
-            horizon.duration,
-            horizon.slo_wait,
-            u64::from(platform.total_cores()),
-        );
-
-        #[allow(clippy::needless_range_loop)] // `job` is an id, not just an index
-        for job in 0..workload.len() {
-            let release = config.release_time(workload.jobs[job].release);
-            if release < horizon.duration {
-                stats.on_release();
-            }
-            if release > 0.0 {
-                // Timers at or past the horizon simply never fire.
-                engine.set_timer(release, tags::encode(tags::Kind::Release, job));
-            } else if let Some((node, core)) = scheduler.submit(job) {
-                start_job(
-                    job,
-                    node,
-                    core,
-                    workload,
-                    cache,
-                    runs,
-                    &mut Ctx { engine, res: &resources, cfg: config, rng: &mut rng },
-                );
-            }
-        }
-
-        while let Some(event) = engine.next_before(horizon.duration) {
-            let tag = match event {
-                Event::FlowCompleted { tag, .. } => tag,
-                Event::TimerFired { tag, .. } => {
-                    let (kind, job) = tags::decode(tag);
-                    if kind != tags::Kind::Release {
-                        debug_assert!(false, "unknown user timer (tag {tag:?})");
-                        return Err(SimError::UnexpectedTimer { tag, at: engine.now() });
-                    }
-                    if let Some((node, core)) = scheduler.submit(job) {
-                        start_job(
-                            job,
-                            node,
-                            core,
-                            workload,
-                            cache,
-                            runs,
-                            &mut Ctx { engine, res: &resources, cfg: config, rng: &mut rng },
-                        );
-                    }
-                    continue;
-                }
-            };
-            let (kind, job) = tags::decode(tag);
-            let Some(run) = runs[job].as_mut() else {
                 if kind == tags::Kind::CacheWrite {
                     // A fire-and-forget cache write that outlasted its job:
                     // the run was taken when the job was recorded, and
@@ -407,9 +315,8 @@ impl SimSession {
             let finished = run
                 .on_event(kind, &mut Ctx { engine, res: &resources, cfg: config, rng: &mut rng });
             if finished {
-                // Take the run so the post-horizon sweep only sees jobs
-                // still in flight.
-                let run = runs[job].take().unwrap();
+                // Take the run, so that only jobs still in flight remain.
+                let run = runs[job].take().expect("the run just finished");
                 let release = config.release_time(workload.jobs[job].release);
                 records.push(JobRecord {
                     job,
@@ -419,7 +326,9 @@ impl SimSession {
                     start: run.start,
                     end: run.end,
                 });
-                stats.on_completion(release, run.start, run.end);
+                if let Some(stats) = stats.as_mut() {
+                    stats.on_completion(release, run.start, run.end);
+                }
                 if let Some((next_job, (n_node, n_core))) = scheduler.release(run.node, run.core) {
                     start_job(
                         next_job,
@@ -435,8 +344,10 @@ impl SimSession {
         }
 
         // Jobs caught mid-run by the closing horizon: partial busy credit.
-        for run in runs.iter().flatten() {
-            stats.on_busy_interval(run.start, horizon.duration);
+        if let Some(stats) = stats.as_mut() {
+            for run in runs.iter().flatten() {
+                stats.on_busy_interval(run.start, end);
+            }
         }
 
         records.sort_by_key(|r| r.job);
@@ -447,7 +358,7 @@ impl SimSession {
             wall_seconds: wall_start.elapsed().as_secs_f64(),
         };
         trace.validate();
-        Ok(HorizonRun { trace, report: stats.finish() })
+        Ok((trace, stats))
     }
 
     /// Kernel statistics of the most recent run (component-vs-global solve

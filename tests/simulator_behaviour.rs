@@ -112,9 +112,10 @@ fn write_through_loads_the_hdd() {
 }
 
 /// A write-through cache write is fire-and-forget and, on a slow disk,
-/// outlasts the job that issued it. The horizon loop takes a finished
-/// job's run, so the late completion finds none: it must be dropped, as
-/// the run-to-completion loop (the control) in effect does.
+/// outlasts the job that issued it. The run loop takes a finished job's
+/// run, so the late completion finds none: it must be dropped, with or
+/// without a horizon. A horizon past every job runs the very event
+/// sequence of the run to completion (the control).
 #[test]
 fn cache_write_outlasting_its_job_is_dropped_by_the_horizon_loop() {
     let w = scaled_cms_workload(4, 2, 50e6);
@@ -131,4 +132,5 @@ fn cache_write_outlasting_its_job_is_dropped_by_the_horizon_loop() {
         .try_run_horizon(&p, &w, &cache, &cfg, &HorizonSpec::new(1e7))
         .expect("a late cache write is not an error");
     assert_eq!(horizon.trace.jobs, control.jobs, "the horizon outlasts every job");
+    assert_eq!(horizon.trace.engine_events, control.engine_events);
 }
