@@ -186,6 +186,76 @@ fn bench_engine_reissue(c: &mut Criterion) {
     group.finish();
 }
 
+/// A processor-sharing class's member order at scale: the
+/// `engine_reissue/renewed` cycle (first sizes 1 + i/N, unit reissues, no
+/// cap) at N = 32 and N = 512 streams, 100 000 completions in all either
+/// way. Every completion pops the class's earliest member and its renewal
+/// joins at `v + 1`, past every tag still queued, so the pop and the join
+/// are O(1) in N; the same-run ratio 512s : 32s is what class size costs
+/// per event (≈ 1; a member heap read 1.40–1.46 with `nproc` 2, since
+/// each of its pops sinks the newest, largest tag through every level).
+fn bench_engine_class_size(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine_class_size");
+    for &n_streams in &[32usize, 512] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("{n_streams}s")),
+            &n_streams,
+            |b, &n_streams| {
+                b.iter(|| {
+                    let mut e = Engine::new();
+                    let r = e.add_resource(ResourceSpec::constant(100.0));
+                    for i in 0..n_streams {
+                        let size = 1.0 + i as f64 / n_streams as f64;
+                        e.start_flow(FlowSpec::new(size, &[r], Tag(i as u64)));
+                    }
+                    let (mut started, mut n) = (n_streams, 0u64);
+                    while let Some(ev) = e.next() {
+                        n += 1;
+                        if started < 100_000 {
+                            started += 1;
+                            e.start_flow(FlowSpec::new(1.0, &[r], ev.tag()));
+                        }
+                    }
+                    black_box((n, e.stats().swap_inherits))
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
+/// The member queue's worst case: N flows of distinct sizes started in a
+/// scrambled order on one resource, so when the first settle forms the
+/// class, every join lands mid-queue instead of at the back; then the
+/// class drains, one completion and one re-rate at a time.
+fn bench_engine_class_formation(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine_class_formation");
+    for &n_flows in &[64usize, 4096] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("{n_flows}f")),
+            &n_flows,
+            |b, &n_flows| {
+                b.iter(|| {
+                    let mut e = Engine::new();
+                    let r = e.add_resource(ResourceSpec::constant(100.0));
+                    for i in 0..n_flows {
+                        // An odd multiplier permutes 0..N for N a power of two.
+                        let j = i.wrapping_mul(0x9E37_79B1) % n_flows;
+                        let size = 1.0 + j as f64 / n_flows as f64;
+                        e.start_flow(FlowSpec::new(size, &[r], Tag(i as u64)));
+                    }
+                    let mut n = 0u64;
+                    while e.next().is_some() {
+                        n += 1;
+                    }
+                    black_box((n, e.stats().class_joins))
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
@@ -193,6 +263,8 @@ criterion_group! {
         bench_engine_events,
         bench_engine_components,
         bench_engine_rerate_storm,
-        bench_engine_reissue
+        bench_engine_reissue,
+        bench_engine_class_size,
+        bench_engine_class_formation
 }
 criterion_main!(benches);

@@ -89,16 +89,20 @@
 //! the common share `rho`, the virtual service `v` (bytes served to each
 //! member since the class formed) and the instant `t_last` at which `v`
 //! was current. A member holds a constant *finish tag* — `v` when it
-//! joined plus what it had left — in the class's own small
-//! `CompletionList`, and the class holds **one** entry in a second list,
-//! filed under its earliest member, due at `t_last + (min tag − v) / rho`.
-//! A uniform re-solve advances `v` to now, stores the new `rho`, joins the
-//! flows that are not yet members and re-keys that one entry: O(1) in the
-//! population instead of a multiply, a divide and a heap sift per member.
-//! The event loop merges the two lists in `(time, FlowId)` order; a
-//! completing member *sets* the clock to its tag (equal tags pop as one
+//! joined plus what it had left, stored bit-for-bit in its `remaining` —
+//! in the class's `eventlist::MemberQueue`, a ring buffer kept in
+//! `(tag, FlowId)` order, and the class holds **one** entry in a second
+//! list, filed under its earliest member (the queue's front), due at
+//! `t_last + (min tag − v) / rho`. A uniform re-solve advances `v` to now,
+//! stores the new `rho`, joins the flows that are not yet members and
+//! re-keys that one entry: O(1) in the population instead of a multiply,
+//! a divide and a heap sift per member. The event loop merges the two
+//! lists in `(time, FlowId)` order; a completing member is popped off the
+//! queue's front and *sets* the clock to its tag (equal tags pop as one
 //! lock-step batch, and no error accumulates); the renewal of a parked
-//! member takes its twin's place at `v + demand`.
+//! member takes its twin's place at `v + demand` — past every tag already
+//! served, so joins arrive in tag order and most land at the queue's back.
+//! A cancelled member leaves by binary search on its key.
 //!
 //! A class **dissolves** — every member back to an entry of its own, at
 //! the class's share, with `remaining = tag − v(now)` — when a solve's
@@ -144,7 +148,7 @@
 //! component with no repeated hop tries the re-fill, straight from the
 //! counts; anything else is gathered first.
 
-use crate::eventlist::{Completion, CompletionList};
+use crate::eventlist::{Completion, CompletionList, MemberQueue};
 use crate::flow::{FlowSpec, FlowState, FlowStatus, NO_CLASS};
 use crate::ids::{FlowId, ResourceId, Tag, TimerId};
 use crate::resource::ResourceSpec;
@@ -282,8 +286,8 @@ struct CompClock {
     /// The instant `v` was last brought current: the last change of `rho`
     /// or the last member completion.
     t_last: f64,
-    /// The members, keyed `(tag, FlowId)`.
-    members: CompletionList,
+    /// The members, in `(tag, FlowId)` order.
+    members: MemberQueue,
     /// The member the class's one scheduling entry is filed under, if it
     /// holds one.
     filed: Option<FlowId>,
@@ -1385,7 +1389,7 @@ impl Engine {
         let remaining = if f.is_done() { 0.0 } else { f.remaining };
         let k = &mut self.comp_cache[c].clock;
         let tag = k.v_at(self.time) + remaining;
-        k.members.set(id, tag);
+        k.members.insert(id, tag);
         f.remaining = tag;
         f.class = c as u32;
         self.stats.class_joins += 1;
@@ -1397,7 +1401,8 @@ impl Engine {
         let f = &mut self.flows[id.index()];
         let c = f.class as usize;
         let k = &mut self.comp_cache[c].clock;
-        k.members.remove(id.index());
+        // A member's `remaining` is its tag, the key it joined under.
+        k.members.remove(id, f.remaining);
         f.remaining = (f.remaining - k.v_at(self.time)).max(0.0);
         f.last_settled = self.time;
         f.class = NO_CLASS;
@@ -2747,6 +2752,32 @@ mod tests {
     }
 
     #[test]
+    fn cancelling_a_member_refiles_the_class_only_when_it_was_the_front() {
+        let mut e = Engine::new();
+        let r = e.add_resource(ResourceSpec::constant(30.0));
+        let a = e.start_flow(FlowSpec::new(30.0, &[r], Tag(0xA)));
+        let b = e.start_flow(FlowSpec::new(60.0, &[r], Tag(0xB)));
+        let c = e.start_flow(FlowSpec::new(90.0, &[r], Tag(0xC)));
+        e.settle_rates();
+        let class = e.res_comp[r.index()].slot as usize;
+        let filed = |e: &Engine| (e.comp_cache[class].clock.filed, e.class_entries.peek());
+        let before = filed(&e);
+        assert_eq!(before.0, Some(a), "three members at 10 each, A due first");
+        // B sits mid-queue: it leaves by key, and A's entry stays as it was.
+        e.cancel_flow(b);
+        assert_eq!(filed(&e), before);
+        assert_eq!(clock_bits(&e, r).3, 2);
+        // A is the front: the class is re-filed under C, the one left.
+        e.cancel_flow(a);
+        let (w, entry) = filed(&e);
+        assert_eq!((w, entry.map(|m| m.flow)), (Some(c), Some(c)));
+        assert_eq!(clock_bits(&e, r).3, 1);
+        // C runs alone from the settle on: 90 units at 30/s.
+        assert_eq!(e.next().unwrap().tag(), Tag(0xC));
+        assert!((e.now() - 3.0).abs() < 1e-12, "now = {}", e.now());
+    }
+
+    #[test]
     fn binding_cap_dissolves_the_class_and_a_uniform_solve_reforms_it() {
         let mut e = Engine::new();
         let r = e.add_resource(ResourceSpec::constant(30.0));
@@ -2824,7 +2855,9 @@ mod tests {
             /// active flow with a positive rate is scheduled exactly once —
             /// an entry of its own xor membership in exactly one class —
             /// and every class with members and a positive share holds
-            /// exactly one entry, filed under its earliest member. And the
+            /// exactly one entry, filed under its earliest member; its
+            /// members sit in strict `(tag, FlowId)` order, each holding
+            /// its tag bit-for-bit in `remaining`. And the
             /// incidence index holds active flows and parked completions
             /// only — parked ones never on the free list — and after a
             /// settle, active flows only.
@@ -2916,6 +2949,21 @@ mod tests {
                     for (slot, c) in e.comp_cache.iter().enumerate() {
                         let k = &c.clock;
                         members -= k.members.len();
+                        // Strict key order, and each member's `remaining`
+                        // is its tag bit-for-bit: the key it leaves by.
+                        let held: Vec<Completion> = k.members.iter().copied().collect();
+                        prop_assert!(
+                            held.windows(2).all(|w| w[0].before(&w[1])),
+                            "class {} out of (tag, FlowId) order after step {}", slot, i
+                        );
+                        for m in &held {
+                            let f = &e.flows[m.flow.index()];
+                            prop_assert_eq!(e.slot_gen[m.flow.index()], m.flow.generation());
+                            prop_assert_eq!(
+                                f.remaining.to_bits(), m.time.to_bits(),
+                                "member {:?} of class {} after step {}", m.flow, slot, i
+                            );
+                        }
                         let earliest = k.members.peek().filter(|_| k.rho > 0.0).map(|m| m.flow);
                         // A class a reissue joined as its earliest member
                         // is re-filed at the next settle; until then its
@@ -2929,7 +2977,7 @@ mod tests {
                             filed += 1;
                         }
                     }
-                    prop_assert_eq!(members, 0, "every member heap entry is a live member");
+                    prop_assert_eq!(members, 0, "every member queue entry is a live member");
                     prop_assert_eq!(e.class_entries.len(), filed, "after step {} {:?}", i, steps[i]);
                 }
             }

@@ -86,7 +86,7 @@ pub struct Stats {
     /// solo flow that held none (its first rate, or its first positive
     /// one after a zero), a class's entry (filed for a class that held
     /// none, or under its next member when its earliest is delivered), plus
-    /// every timer scheduled. Joining a class's member heap is
+    /// every timer scheduled. Joining a class's member queue is
     /// `class_joins`, not a push.
     pub event_pushes: u64,
     /// Entries popped off the event queues: one per delivered completion
