@@ -7,16 +7,25 @@
 //! sessions those arenas are built once and reset between runs. This
 //! bench records both paths so the speedup stays on the record
 //! (`BENCH_session.json`).
+//!
+//! One level up, `calibration_reduced_150evals` times whole calibrations —
+//! the paper's loop — on the reduced FCSN objective (11 ICD simulations
+//! per point). RANDOM keeps only its best point, so it caps each point
+//! once its partial MRE reaches the incumbent; GDFix needs every value and
+//! never caps, which makes it the same-run reference for CI's ratio gate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
-use simcal_calib::{EvalContext, Objective};
+use simcal_calib::{
+    calibrate_with_workers, Budget, Calibrator, EvalContext, GradientDescent, Objective,
+    RandomSearch,
+};
 use simcal_platform::{catalog, HardwareParams, PlatformKind};
 use simcal_sim::{simulate, SimConfig, SimSession};
 use simcal_storage::{CachePlan, XRootDConfig};
-use simcal_study::CaseObjective;
+use simcal_study::{param_space, CaseObjective};
 use simcal_units as units;
 use simcal_workload::cms_workload;
 
@@ -70,5 +79,23 @@ fn bench_objective_evaluation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_simulate_paths, bench_objective_evaluation);
+/// A whole 150-evaluation calibration on one worker, per algorithm.
+fn bench_calibration(c: &mut Criterion) {
+    let case = simcal_bench::reduced_case();
+    let obj = CaseObjective::full(&case, PlatformKind::Fcsn, XRootDConfig::paper_1s());
+    let space = param_space();
+    let calibrate = |algo: &mut dyn Calibrator| {
+        calibrate_with_workers(algo, &obj, &space, Budget::Evaluations(150), Some(1))
+    };
+
+    let mut group = c.benchmark_group("calibration_reduced_150evals");
+    group.sample_size(10).measurement_time(Duration::from_secs(10));
+    group.bench_function("random", |b| b.iter(|| black_box(calibrate(&mut RandomSearch::new(1)))));
+    group.bench_function("gdfix", |b| {
+        b.iter(|| black_box(calibrate(&mut GradientDescent::fixed(2))));
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_simulate_paths, bench_objective_evaluation, bench_calibration);
 criterion_main!(benches);

@@ -12,6 +12,9 @@
 //! present at level `k - 1` (i.e. points with at least one odd lattice
 //! coordinate). Points are generated lazily in lexicographic order so the
 //! budget can cut a level anywhere.
+//!
+//! Only the best point matters, so every chunk is evaluated capped at the
+//! incumbent ([`Evaluator::eval_batch_capped`]).
 
 use super::Calibrator;
 use crate::runner::Evaluator;
@@ -97,7 +100,7 @@ impl Calibrator for GridSearch {
             let mut iter = Self::level_points(level, dim).peekable();
             while iter.peek().is_some() {
                 let batch: Vec<Vec<f64>> = iter.by_ref().take(self.chunk).collect();
-                let results = eval.eval_batch(&batch);
+                let results = eval.eval_batch_capped(&batch);
                 if results.iter().any(Option::is_none) {
                     return;
                 }

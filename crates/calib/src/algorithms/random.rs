@@ -3,6 +3,10 @@
 //! "This algorithm simply evaluates sets of random parameter values, where
 //! each value is sampled uniformly in its parameter range" — uniformly in
 //! *log2* space, per the paper's parameter representation.
+//!
+//! Only the best point matters, so every batch is evaluated capped at the
+//! incumbent ([`Evaluator::eval_batch_capped`]): a point whose partial
+//! error already reaches it stops early, with the same result.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,7 +46,7 @@ impl Calibrator for RandomSearch {
         while !eval.exhausted() {
             let points: Vec<Vec<f64>> =
                 (0..self.batch).map(|_| eval.space().sample_unit(&mut rng)).collect();
-            let results = eval.eval_batch(&points);
+            let results = eval.eval_batch_capped(&points);
             if results.iter().any(Option::is_none) {
                 break;
             }

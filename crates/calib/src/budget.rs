@@ -11,6 +11,14 @@
 //!   so more workers do not buy more evaluations, while it stays
 //!   cost-sensitive: slower simulator granularities get proportionally
 //!   fewer evaluations (the speed/accuracy trade-off of Table VI).
+//!
+//! A capped evaluation (see [`crate::objective`]) counts as one evaluation
+//! under either budget, and under [`Budget::SimulatedCost`] it is charged
+//! the shorter time it actually took. So RANDOM and GRID, which cap, make
+//! more evaluations within the same cost budget than they did before
+//! capping — the RANDOM and GRID rows of Tables V/VI and Fig. 2 among
+//! them. How many more depends on measured times, like everything under
+//! this budget.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -45,9 +45,9 @@ pub use algorithms::{
     GridSearch, NelderMead, RandomSearch, SimulatedAnnealing,
 };
 pub use budget::{Budget, BudgetTracker};
-pub use error::{mae, mape, mre_percent, rmse};
+pub use error::{mae, mape, mre_percent, relative_error, rmse, MeanFold};
 pub use history::{EvalRecord, History};
-pub use objective::{EvalContext, FnObjective, Objective};
+pub use objective::{cap_reached, EvalContext, Evaluation, FnObjective, Objective};
 pub use result::CalibrationResult;
 pub use runner::Evaluator;
 pub use space::{ParamSpace, ParamSpec};

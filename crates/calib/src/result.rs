@@ -12,8 +12,11 @@ pub struct CalibrationResult {
     pub best_values: Vec<f64>,
     /// Objective value at the best point (e.g. MRE %).
     pub best_error: f64,
-    /// Total completed evaluations.
+    /// Total completed evaluations, capped ones included.
     pub evaluations: u64,
+    /// Evaluations stopped early because their partial error reached the
+    /// incumbent (RANDOM and GRID only).
+    pub capped: u64,
     /// Best-so-far convergence curve: (cumulative cost s, best error).
     pub curve: Vec<(f64, f64)>,
 }
@@ -39,6 +42,7 @@ impl CalibrationResult {
             best_values,
             best_error,
             evaluations: history.len() as u64,
+            capped: history.capped(),
             curve: history.best_curve(),
         }
     }

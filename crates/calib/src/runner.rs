@@ -12,6 +12,21 @@
 //! once per worker, not once per point. Contexts persist across batches in
 //! a pool on the evaluator, so iterative algorithms (which evaluate many
 //! small batches) amortize across their whole run.
+//!
+//! # Capped batches
+//!
+//! An algorithm that keeps only the best point (RANDOM, GRID) evaluates
+//! through [`Evaluator::eval_batch_capped`]: every point of the batch is
+//! evaluated with the incumbent as its cap, so an objective may stop a
+//! point as soon as its partial error provably reaches it (see
+//! [`crate::objective`] for the prefix-fold argument). The cap is the
+//! incumbent *as of the batch's start*, never a live one. Which points a
+//! live incumbent caps would depend on which worker finished first; a
+//! fixed one keeps every record — capped flag and bound included — the
+//! same at any worker count. Since a capped point's finished value is
+//! `>=` the incumbent, which precedes it, the first minimum and the
+//! strict-`<` best-so-far curve are those of the uncapped run.
+//! [`Evaluator::eval_batch`] is the same loop at `cap = +∞`.
 
 use std::time::Instant;
 
@@ -19,7 +34,7 @@ use std::sync::{mpsc, Mutex};
 
 use crate::budget::BudgetTracker;
 use crate::history::History;
-use crate::objective::{EvalContext, Objective};
+use crate::objective::{EvalContext, Evaluation, Objective};
 use crate::space::ParamSpace;
 
 /// Budget-aware, history-recording parallel evaluator.
@@ -36,11 +51,11 @@ pub struct Evaluator<'a> {
 /// The objective value algorithms see: the history keeps the raw value,
 /// but any non-finite one reaches them as `f64::INFINITY`, so a NaN can
 /// never win (or freeze) a comparison.
-fn as_seen(error: f64) -> f64 {
-    if error.is_finite() {
-        error
+fn as_seen(eval: Evaluation) -> Evaluation {
+    if eval.error.is_finite() {
+        eval
     } else {
-        f64::INFINITY
+        Evaluation { error: f64::INFINITY, ..eval }
     }
 }
 
@@ -82,13 +97,27 @@ impl<'a> Evaluator<'a> {
     /// `None` where the budget ran out before that point was claimed.
     /// Points are claimed in order, so on exhaustion a prefix is evaluated.
     pub fn eval_batch(&self, unit_points: &[Vec<f64>]) -> Vec<Option<f64>> {
+        self.run_batch(unit_points, f64::INFINITY).into_iter().map(|e| e.map(|e| e.error)).collect()
+    }
+
+    /// [`Evaluator::eval_batch`] for algorithms that keep only the best
+    /// point: each point is capped at the incumbent as of the batch's start
+    /// (see the module docs). A capped entry carries the bound that reached
+    /// the cap, not the point's value.
+    pub fn eval_batch_capped(&self, unit_points: &[Vec<f64>]) -> Vec<Option<Evaluation>> {
+        let cap = self.history.best().map_or(f64::INFINITY, |r| r.error);
+        self.run_batch(unit_points, cap)
+    }
+
+    /// The one evaluation loop behind both batch entry points.
+    fn run_batch(&self, unit_points: &[Vec<f64>], cap: f64) -> Vec<Option<Evaluation>> {
         if unit_points.is_empty() {
             return Vec::new();
         }
         let n_workers = self.workers.min(unit_points.len());
         if n_workers <= 1 {
             let mut ctx = self.checkout_context();
-            let out = unit_points.iter().map(|p| self.eval_claimed(&mut ctx, p)).collect();
+            let out = unit_points.iter().map(|p| self.eval_claimed(&mut ctx, p, cap)).collect();
             self.return_context(ctx);
             return out;
         }
@@ -96,7 +125,7 @@ impl<'a> Evaluator<'a> {
         // Claims are taken under the cursor lock, so the claimed points are
         // a prefix of the batch whatever the thread timing.
         let cursor = Mutex::new(0usize);
-        let (tx, rx) = mpsc::channel::<(usize, (Vec<f64>, f64, f64))>();
+        let (tx, rx) = mpsc::channel::<(usize, (Vec<f64>, Evaluation, f64))>();
         let slots = std::thread::scope(|scope| {
             for _ in 0..n_workers {
                 let tx = tx.clone();
@@ -112,7 +141,7 @@ impl<'a> Evaluator<'a> {
                             *next += 1;
                             *next - 1
                         };
-                        tx.send((i, self.evaluate(&mut ctx, &unit_points[i])))
+                        tx.send((i, self.evaluate(&mut ctx, &unit_points[i], cap)))
                             .expect("collector alive");
                     }
                     self.return_context(ctx);
@@ -135,31 +164,41 @@ impl<'a> Evaluator<'a> {
         slots
             .into_iter()
             .map(|slot| {
-                let (values, error, _) = slot?;
-                self.history.push(costs.next().expect("one cost per result"), values, error);
-                Some(as_seen(error))
+                let (values, eval, _) = slot?;
+                self.history.push_evaluation(
+                    costs.next().expect("one cost per result"),
+                    values,
+                    eval,
+                );
+                Some(as_seen(eval))
             })
             .collect()
     }
 
     /// Claim budget, evaluate a single point and record it.
-    fn eval_claimed(&self, ctx: &mut EvalContext, unit: &[f64]) -> Option<f64> {
+    fn eval_claimed(&self, ctx: &mut EvalContext, unit: &[f64], cap: f64) -> Option<Evaluation> {
         if !self.budget.try_claim() {
             return None;
         }
-        let (values, error, cost) = self.evaluate(ctx, unit);
-        self.history.push(cost, values, error);
-        Some(as_seen(error))
+        let (values, eval, cost) = self.evaluate(ctx, unit, cap);
+        self.history.push_evaluation(cost, values, eval);
+        Some(as_seen(eval))
     }
 
-    /// Evaluate an already-claimed point and charge its cost. Returns the
-    /// natural values, the raw objective value and the cumulative cost.
-    fn evaluate(&self, ctx: &mut EvalContext, unit: &[f64]) -> (Vec<f64>, f64, f64) {
+    /// Evaluate an already-claimed point and charge its cost (a capped
+    /// point is charged the shorter time it took). Returns the natural
+    /// values, the raw evaluation and the cumulative cost.
+    fn evaluate(
+        &self,
+        ctx: &mut EvalContext,
+        unit: &[f64],
+        cap: f64,
+    ) -> (Vec<f64>, Evaluation, f64) {
         let values = self.space.values_of(unit);
         let t0 = Instant::now();
-        let error = self.objective.evaluate_with(ctx, &values);
+        let eval = self.objective.evaluate_capped(ctx, &values, cap);
         let cumulative = self.budget.charge(t0.elapsed().as_secs_f64());
-        (values, error, cumulative)
+        (values, eval, cumulative)
     }
 
     /// Pop an idle context (or build a fresh one).
@@ -266,12 +305,12 @@ mod tests {
         struct Counting;
         impl Objective for Counting {
             fn evaluate(&self, _v: &[f64]) -> f64 {
-                unreachable!("evaluator must use evaluate_with")
+                unreachable!("evaluator must use evaluate_capped")
             }
-            fn evaluate_with(&self, ctx: &mut crate::EvalContext, _v: &[f64]) -> f64 {
+            fn evaluate_capped(&self, ctx: &mut EvalContext, _v: &[f64], _cap: f64) -> Evaluation {
                 let n = ctx.get_or_insert_with(|| 0u64);
                 *n += 1;
-                *n as f64
+                Evaluation::done(*n as f64)
             }
         }
         let obj = Counting;
@@ -286,17 +325,56 @@ mod tests {
     }
 
     #[test]
+    fn capped_batches_see_the_incumbent_as_of_their_start() {
+        // An objective that records the cap each point was handed and
+        // caps whenever its value reaches it.
+        struct Recording(Mutex<Vec<f64>>);
+        impl Objective for Recording {
+            fn evaluate(&self, v: &[f64]) -> f64 {
+                v[0].log2()
+            }
+            fn evaluate_capped(&self, _ctx: &mut EvalContext, v: &[f64], cap: f64) -> Evaluation {
+                self.0.lock().unwrap().push(cap);
+                let e = self.evaluate(v);
+                if crate::objective::cap_reached(e, cap) {
+                    Evaluation::capped(e)
+                } else {
+                    Evaluation::done(e)
+                }
+            }
+        }
+        for workers in [1, 2] {
+            let obj = Recording(Mutex::new(Vec::new()));
+            let space = ParamSpace::paper(&["a"]);
+            let budget = BudgetTracker::new(Budget::Evaluations(100));
+            let history = History::new();
+            let ev = Evaluator::new(&obj, &space, &budget, &history).with_workers(workers);
+            ev.eval_batch_capped(&[vec![0.5], vec![0.25]]);
+            // 0.0 improves on the incumbent mid-batch; 0.75 must still be
+            // capped against the incumbent of the batch's start only.
+            let second = ev.eval_batch_capped(&[vec![0.0], vec![0.75], vec![0.25]]);
+            let caps = obj.0.into_inner().unwrap();
+            assert_eq!(caps[..2], [f64::INFINITY; 2]);
+            assert_eq!(caps[2..], [24.0; 3], "{workers} workers");
+            let capped: Vec<bool> = second.iter().map(|e| e.unwrap().capped).collect();
+            assert_eq!(capped, [false, true, true]);
+            assert_eq!(history.capped(), 2);
+            assert_eq!(history.best().unwrap().error, 20.0);
+        }
+    }
+
+    #[test]
     fn parallel_workers_each_get_a_context() {
         struct Marking;
         impl Objective for Marking {
             fn evaluate(&self, _v: &[f64]) -> f64 {
                 0.0
             }
-            fn evaluate_with(&self, ctx: &mut crate::EvalContext, _v: &[f64]) -> f64 {
+            fn evaluate_capped(&self, ctx: &mut EvalContext, _v: &[f64], _cap: f64) -> Evaluation {
                 // Uses the slot; several threads must never share one.
                 let n = ctx.get_or_insert_with(|| 0u64);
                 *n += 1;
-                0.0
+                Evaluation::done(0.0)
             }
         }
         let obj = Marking;

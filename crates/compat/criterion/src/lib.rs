@@ -234,7 +234,7 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(
     samples_ns.sort_by(f64::total_cmp);
     let min = samples_ns[0];
     let max = *samples_ns.last().expect("non-empty samples");
-    let median = samples_ns[samples_ns.len() / 2];
+    let median = median(&samples_ns);
     let mean = samples_ns.iter().sum::<f64>() / samples_ns.len() as f64;
 
     println!(
@@ -254,6 +254,18 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(
         samples: samples_ns.len(),
         iters_per_sample: iters,
     });
+}
+
+/// The median of sorted samples: the mean of the two middle ones when the
+/// count is even. Taking the upper one alone would report quick mode's
+/// worse sample of two.
+fn median(sorted: &[f64]) -> f64 {
+    let mid = sorted.len() / 2;
+    if sorted.len().is_multiple_of(2) {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    } else {
+        sorted[mid]
+    }
 }
 
 fn fmt_ns(ns: f64) -> String {
@@ -375,6 +387,13 @@ mod tests {
         let r = results.iter().find(|r| r.id == "smoke/add").expect("recorded");
         assert!(r.median_ns > 0.0);
         assert_eq!(r.samples, 3);
+    }
+
+    #[test]
+    fn even_sample_counts_take_the_mean_of_the_middle_two() {
+        assert_eq!(median(&[1.0, 3.0]), 2.0);
+        assert_eq!(median(&[1.0, 2.0, 4.0, 9.0]), 3.0);
+        assert_eq!(median(&[1.0, 2.0, 9.0]), 2.0);
     }
 
     #[test]

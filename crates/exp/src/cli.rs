@@ -847,11 +847,12 @@ fn run_calibrate(opts: &Options) -> Result<(), String> {
             .collect();
         rows.push(vec!["(aggregate)".to_string(), format!("{:.2}", result.best_error)]);
         println!(
-            "family {:?}: {} calibrated over {} members, {} evaluations",
+            "family {:?}: {} calibrated over {} members, {} evaluations ({} capped)",
             pattern,
             result.algorithm,
             fam.members().len(),
-            result.evaluations
+            result.evaluations,
+            result.capped
         );
         print!("{}", ascii_table(&["member".to_string(), "mre_pct".to_string()], &rows));
         println!();
@@ -884,10 +885,11 @@ fn run_calibrate(opts: &Options) -> Result<(), String> {
             ctx.workers,
         );
         println!(
-            "{}: {} calibrated, {} evaluations, best MRE {:.2}%",
+            "{}: {} calibrated, {} evaluations ({} capped), best MRE {:.2}%",
             kind.label(),
             result.algorithm,
             result.evaluations,
+            result.capped,
             result.best_error
         );
         print!(

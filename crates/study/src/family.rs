@@ -18,6 +18,13 @@
 //! [`CaseObjective`](crate::CaseObjective) is the 1-member degenerate
 //! case — it delegates all its simulation plumbing to a `FamilyMember`.
 //!
+//! Every discrepancy is one running [`MeanFold`] over a member's plans,
+//! ICD-major (`FamilyMember::runs`), so an evaluation can stop
+//! after any ICD run but the last once the fold's prefix reaches the
+//! calibration's cap ([`simcal_calib::objective`] has the contract). A
+//! family folds its member scores the same way, and its bound after `j`
+//! members and part of the next is `(Σ first j scores + partial) / k`.
+//!
 //! Ground truth is **scenario-driven**: each member's truth metrics come
 //! from running the member scenario's *emulator twin* —
 //! [`scenario_truth_config`] builds the fine-grained, noisy, hidden-truth
@@ -27,13 +34,13 @@
 
 use std::sync::Arc;
 
-use simcal_calib::{EvalContext, Objective};
+use simcal_calib::{cap_reached, relative_error, EvalContext, Evaluation, MeanFold, Objective};
 use simcal_groundtruth::{noise::compute_factors, TruthParams};
 use simcal_platform::{HardwareParams, PlatformSpec};
 use simcal_sim::{CacheSpec, NoiseConfig, Scenario, ScenarioRegistry, SimConfig, SimSession};
 use simcal_storage::CachePlan;
 use simcal_units as units;
-use simcal_workload::Workload;
+use simcal_workload::{ExecutionTrace, Workload};
 
 use crate::sweep::fnv1a;
 
@@ -72,6 +79,10 @@ pub fn scenario_truth_config(sc: &Scenario, truth: &TruthParams, n_jobs: usize) 
     };
     cfg
 }
+
+/// Reads the simulated values one plan's run contributes to a
+/// discrepancy off its trace (per-node mean job times, per-job durations).
+pub(crate) type Sample = fn(&ExecutionTrace) -> Vec<f64>;
 
 /// One scenario's calibration surface: everything needed to simulate a
 /// hardware candidate on that scenario's platform/workload and score it
@@ -223,8 +234,33 @@ impl FamilyMember {
         out
     }
 
+    /// Simulate the member plan by plan at `hw`, lazily: each item runs
+    /// the next plan and pairs the values `sample` reads off its trace
+    /// with that plan's block of `truth` (ICD-major, one equal block per
+    /// plan). A fold that stops early ([`MeanFold::fold_capped`]) never
+    /// runs the remaining plans.
+    pub(crate) fn runs<'a>(
+        &'a self,
+        session: &'a mut SimSession,
+        hw: &HardwareParams,
+        sample: Sample,
+        truth: &'a [f64],
+    ) -> impl ExactSizeIterator<Item = impl Iterator<Item = (f64, f64)> + 'a> + 'a {
+        assert_eq!(truth.len() % self.plans.len(), 0, "truth is not one block per plan");
+        let mut config = self.config.clone();
+        config.hardware = *hw;
+        let blocks = truth.chunks(truth.len() / self.plans.len());
+        self.plans.iter().zip(blocks).map(move |((_, plan), truth)| {
+            let sim = sample(&session.run(&self.platform, &self.workload, plan, &config));
+            assert_eq!(sim.len(), truth.len(), "metric vectors differ in length");
+            sim.into_iter().zip(truth.iter().copied())
+        })
+    }
+
     /// The member's discrepancy (MRE %, the paper's accuracy metric) at
-    /// the 4 calibrated values.
+    /// `values`, folded into a fresh [`MeanFold`] that is returned
+    /// finished, or capped with the bound that reached `cap` (see
+    /// [`MeanFold::fold_capped`]).
     ///
     /// Scenario members may leave nodes unused (small workloads on wide
     /// platforms), which makes their per-node truth metric NaN; those
@@ -232,30 +268,33 @@ impl FamilyMember {
     /// node idle scores a 100% relative error on that position. With no
     /// NaN anywhere this is exactly [`simcal_calib::mre_percent`]
     /// (bit-identical — the degenerate single-platform case relies on it).
-    pub fn score_session(&self, session: &mut SimSession, values: &[f64]) -> f64 {
-        let sim = self.simulate_metrics_session(session, &self.hardware_from(values));
-        masked_mre_percent(&sim, &self.truth_metrics)
+    fn masked_mre_session(
+        &self,
+        session: &mut SimSession,
+        values: &[f64],
+        cap: f64,
+        bound: impl Fn(&MeanFold) -> f64,
+    ) -> (MeanFold, Option<f64>) {
+        let n = self.truth_metrics.iter().filter(|t| t.is_finite()).count();
+        assert!(n > 0, "no finite truth metric");
+        let mut fold = MeanFold::new(100.0, n);
+        let hw = self.hardware_from(values);
+        let blocks = self
+            .runs(session, &hw, ExecutionTrace::mean_job_time_by_node, &self.truth_metrics)
+            .map(|block| {
+                block
+                    .filter(|(_, t)| t.is_finite())
+                    .map(|(s, t)| relative_error(if s.is_finite() { s } else { 0.0 }, t))
+            });
+        let capped = fold.fold_capped(blocks, cap, bound);
+        (fold, capped)
     }
-}
 
-/// [`simcal_calib::mre_percent`] over the positions whose truth is
-/// finite; non-finite sim values at kept positions count as zero (100%
-/// relative error).
-fn masked_mre_percent(sim: &[f64], truth: &[f64]) -> f64 {
-    assert_eq!(sim.len(), truth.len(), "metric vectors differ in length");
-    let n = truth.iter().filter(|t| t.is_finite()).count();
-    assert!(n > 0, "no finite truth metric");
-    100.0
-        * sim
-            .iter()
-            .zip(truth)
-            .filter(|(_, t)| t.is_finite())
-            .map(|(&s, &t)| {
-                let s = if s.is_finite() { s } else { 0.0 };
-                (s - t).abs() / t.abs()
-            })
-            .sum::<f64>()
-        / n as f64
+    /// The member's masked MRE % at the 4 calibrated values (see
+    /// `masked_mre_session`).
+    pub fn score_session(&self, session: &mut SimSession, values: &[f64]) -> f64 {
+        self.masked_mre_session(session, values, f64::INFINITY, MeanFold::value).0.value()
+    }
 }
 
 /// The scenario-family calibration objective: the mean member MRE over a
@@ -305,25 +344,38 @@ impl FamilyObjective {
     /// Aggregate a member-score vector (unweighted mean — every member
     /// scenario constrains the shared parameters equally).
     pub fn aggregate(scores: &[f64]) -> f64 {
-        scores.iter().sum::<f64>() / scores.len() as f64
-    }
-
-    /// Evaluate on a caller-owned session.
-    pub fn evaluate_session(&self, session: &mut SimSession, values: &[f64]) -> f64 {
-        Self::aggregate(&self.member_scores_session(session, values))
+        let mut total = MeanFold::new(1.0, scores.len());
+        scores.iter().for_each(|&s| total.add(s));
+        total.value()
     }
 }
 
 impl Objective for FamilyObjective {
     fn evaluate(&self, values: &[f64]) -> f64 {
-        self.evaluate_session(&mut SimSession::new(), values)
+        self.evaluate_with(&mut EvalContext::new(), values)
     }
 
     /// The calibration hot path: one parked [`SimSession`] per worker,
-    /// shared across every member simulation of every candidate point.
-    fn evaluate_with(&self, ctx: &mut EvalContext, values: &[f64]) -> f64 {
+    /// shared across every member simulation of every candidate point. The
+    /// aggregate folds the member scores in order, and the evaluation stops
+    /// after any ICD run but the family's last once `(Σ finished scores +
+    /// the current member's partial score) / k` reaches `cap`.
+    fn evaluate_capped(&self, ctx: &mut EvalContext, values: &[f64], cap: f64) -> Evaluation {
         let session = ctx.get_or_insert_with(SimSession::new);
-        self.evaluate_session(session, values)
+        let mut total = MeanFold::new(1.0, self.members.len());
+        let last = self.members.len() - 1;
+        for (i, m) in self.members.iter().enumerate() {
+            let bound = |f: &MeanFold| total.value_with(f.value());
+            let (score, capped) = m.masked_mre_session(session, values, cap, bound);
+            if let Some(bound) = capped {
+                return Evaluation::capped(bound);
+            }
+            total.add(score.value());
+            if i < last && cap_reached(total.value(), cap) {
+                return Evaluation::capped(total.value());
+            }
+        }
+        Evaluation::done(total.value())
     }
 }
 

@@ -7,18 +7,24 @@
 //! runs the simulator once per calibration ICD value and compares the
 //! per-node mean job times against the ground truth with the MRE (or, for
 //! Figure 2, the mean absolute error).
+//!
+//! Every metric is one running [`MeanFold`] over the ICD runs, so a capped
+//! evaluation ([`Objective::evaluate_capped`]) stops after any run but the
+//! last once the fold's prefix reaches the cap, and a finished one is
+//! bit-identical to [`simcal_calib::mre_percent`] / [`simcal_calib::mae`]
+//! of the full vectors.
 
 use std::sync::Arc;
 
-use simcal_calib::{mae, mre_percent, EvalContext, Objective, ParamSpace};
+use simcal_calib::{relative_error, EvalContext, Evaluation, MeanFold, Objective, ParamSpace};
 use simcal_groundtruth::{cache_plan_for, GroundTruthSet};
 use simcal_platform::{HardwareParams, PlatformKind};
 use simcal_sim::{SimConfig, SimSession};
 use simcal_storage::XRootDConfig;
-use simcal_workload::Workload;
+use simcal_workload::{ExecutionTrace, Workload};
 
 use crate::case::CaseStudy;
-use crate::family::FamilyMember;
+use crate::family::{FamilyMember, Sample};
 
 /// The four calibrated parameter names, in space order.
 pub const PARAM_NAMES: [&str; 4] = ["core_speed", "local_read_bw", "lan_bw", "wan_bw"];
@@ -144,78 +150,50 @@ impl CaseObjective {
         self.member.hardware_from(values)
     }
 
-    /// Run the simulator at `values` and return the simulated metric vector
-    /// (per-node mean job times, ICD-major order).
-    pub fn simulate_metrics(&self, values: &[f64]) -> Vec<f64> {
-        self.simulate_metrics_hw(&self.hardware_from(values))
-    }
-
-    /// As [`simulate_metrics`](Self::simulate_metrics) but with a complete
-    /// hardware parameter set (used to score the HUMAN calibration, which
-    /// fixes non-calibrated parameters to its own assumptions).
-    pub fn simulate_metrics_hw(&self, hw: &HardwareParams) -> Vec<f64> {
-        self.simulate_metrics_session(&mut SimSession::new(), hw)
-    }
-
-    /// As [`simulate_metrics_hw`](Self::simulate_metrics_hw) on a caller
-    /// owned session, reusing its arenas across the per-ICD simulations
-    /// (and across calls).
-    pub fn simulate_metrics_session(
-        &self,
-        session: &mut SimSession,
-        hw: &HardwareParams,
-    ) -> Vec<f64> {
-        self.member.simulate_metrics_session(session, hw)
-    }
-
     /// Score a complete hardware parameter set against the ground truth.
     pub fn score_hardware(&self, hw: &HardwareParams) -> f64 {
-        let sim = self.simulate_metrics_hw(hw);
-        self.discrepancy(&sim)
+        self.evaluate_hw(&mut SimSession::new(), hw, f64::INFINITY).error
     }
 
-    /// Run the simulator and return per-job durations (ICD-major).
-    pub fn simulate_job_times(&self, values: &[f64]) -> Vec<f64> {
-        self.simulate_job_times_session(&mut SimSession::new(), values)
-    }
-
-    /// As [`simulate_job_times`](Self::simulate_job_times) on a caller
-    /// owned session.
-    pub fn simulate_job_times_session(&self, session: &mut SimSession, values: &[f64]) -> Vec<f64> {
-        self.member.simulate_job_times_session(session, &self.hardware_from(values))
-    }
-
-    /// Evaluate at `values` on a caller-owned session.
-    pub fn evaluate_session(&self, session: &mut SimSession, values: &[f64]) -> f64 {
-        if self.metric == Metric::PerJobMrePercent {
-            let sim = self.simulate_job_times_session(session, values);
-            return mre_percent(&sim, &self.truth_job_times);
-        }
-        let sim = self.simulate_metrics_session(session, &self.hardware_from(values));
-        self.discrepancy(&sim)
-    }
-
-    fn discrepancy(&self, sim: &[f64]) -> f64 {
-        match self.metric {
-            Metric::MrePercent => mre_percent(sim, self.member.truth_metrics()),
-            Metric::MaeSeconds => mae(sim, self.member.truth_metrics()),
-            Metric::PerJobMrePercent => unreachable!("handled in evaluate"),
+    /// The one evaluation path: the metric's terms folded ICD run by ICD
+    /// run, with `mre_percent` / `mae` semantics — a non-finite simulated
+    /// value makes the error non-finite, and a NaN bound never caps.
+    fn evaluate_hw(&self, session: &mut SimSession, hw: &HardwareParams, cap: f64) -> Evaluation {
+        let (sample, truth): (Sample, &[f64]) = match self.metric {
+            Metric::PerJobMrePercent => (job_times, &self.truth_job_times),
+            _ => (ExecutionTrace::mean_job_time_by_node, self.member.truth_metrics()),
+        };
+        let (scale, term): (f64, fn(f64, f64) -> f64) = match self.metric {
+            Metric::MaeSeconds => (1.0, |s, t| (s - t).abs()),
+            _ => (100.0, relative_error),
+        };
+        let mut fold = MeanFold::new(scale, truth.len());
+        let blocks =
+            self.member.runs(session, hw, sample, truth).map(|b| b.map(|(s, t)| term(s, t)));
+        match fold.fold_capped(blocks, cap, MeanFold::value) {
+            Some(bound) => Evaluation::capped(bound),
+            None => Evaluation::done(fold.value()),
         }
     }
 }
 
+/// Per-job durations of a trace, in job order.
+fn job_times(trace: &ExecutionTrace) -> Vec<f64> {
+    trace.jobs.iter().map(|j| j.duration()).collect()
+}
+
 impl Objective for CaseObjective {
     fn evaluate(&self, values: &[f64]) -> f64 {
-        self.evaluate_session(&mut SimSession::new(), values)
+        self.evaluate_with(&mut EvalContext::new(), values)
     }
 
     /// The calibration hot path: the evaluator threads each worker's
     /// [`EvalContext`] through here, so the `SimSession` parked in it is
     /// built once per worker and reused for every candidate point (and
     /// every per-ICD simulation within a point).
-    fn evaluate_with(&self, ctx: &mut EvalContext, values: &[f64]) -> f64 {
+    fn evaluate_capped(&self, ctx: &mut EvalContext, values: &[f64], cap: f64) -> Evaluation {
         let session = ctx.get_or_insert_with(SimSession::new);
-        self.evaluate_session(session, values)
+        self.evaluate_hw(session, &self.hardware_from(values), cap)
     }
 }
 

@@ -1,13 +1,14 @@
 //! Property-based tests of the calibration framework through the public
 //! API: parameter-space transforms, history invariants, budget
-//! accounting, worker-count invariance, and non-finite objective values.
+//! accounting, worker-count invariance, non-finite objective values, and
+//! adaptive capping.
 
 use proptest::prelude::*;
 
 use simcal::calib::{
     calibrate_with_workers, BayesianOpt, Budget, CalibrationResult, Calibrator, CoordinateDescent,
-    FnObjective, GradientDescent, GridSearch, History, NelderMead, ParamSpace, ParamSpec,
-    RandomSearch, SimulatedAnnealing,
+    EvalContext, Evaluation, FnObjective, GradientDescent, GridSearch, History, MeanFold,
+    NelderMead, Objective, ParamSpace, ParamSpec, RandomSearch, SimulatedAnnealing,
 };
 
 /// All eight algorithms, seeded.
@@ -194,6 +195,174 @@ fn grid_coverage_becomes_dense() {
                 units.iter().any(|u| (u[0] - x).abs() < 1e-6 && (u[1] - y).abs() < 1e-6),
                 "lattice point ({x}, {y}) never evaluated"
             );
+        }
+    }
+}
+
+/// A toy objective of four blocks of two non-negative terms, one block
+/// per "simulation", that honours the cap the way the case study does.
+/// A point's value is `Σ terms / 8`, exact, so every rounding of the sum
+/// shows. The terms are 0.1, 0.2 and 0.3 at point-dependent positions in
+/// the first seven slots, zeros, and a coarse level term (`v[0]`'s
+/// distance from `2^28`) in the last. So the best level's values tie or
+/// differ in the last bit by the order of the three, and a bound computed
+/// any other way than the finished value's own prefix rounds past it.
+struct Blocks;
+
+impl Blocks {
+    /// The point's blocks, drawn lazily. A point-dependent sleep makes
+    /// parallel workers finish out of order.
+    fn blocks(v: &[f64]) -> impl ExactSizeIterator<Item = Vec<f64>> {
+        let mut h = v.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, x| {
+            (h ^ x.to_bits()).wrapping_mul(0x1000_0000_01b3)
+        });
+        std::thread::sleep(std::time::Duration::from_micros(h % 50));
+        let mut terms = [0.0; 8];
+        terms[7] = ((v[0].log2() - 28.0).abs() / 4.0).floor() * 0.7;
+        for t in [0.1, 0.2, 0.3] {
+            loop {
+                h = h.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(17);
+                let slot = (h >> 32) as usize % 7;
+                if terms[slot] == 0.0 {
+                    terms[slot] = t;
+                    break;
+                }
+            }
+        }
+        (0..4).map(move |b| terms[2 * b..2 * b + 2].to_vec())
+    }
+}
+
+impl Objective for Blocks {
+    fn evaluate(&self, v: &[f64]) -> f64 {
+        self.evaluate_with(&mut EvalContext::new(), v)
+    }
+
+    fn evaluate_capped(&self, _ctx: &mut EvalContext, v: &[f64], cap: f64) -> Evaluation {
+        let mut fold = MeanFold::new(1.0, 8);
+        match fold.fold_capped(Self::blocks(v), cap, MeanFold::value) {
+            Some(bound) => Evaluation::capped(bound),
+            None => Evaluation::done(fold.value()),
+        }
+    }
+}
+
+/// The same objective with capping hidden behind the default
+/// `evaluate_capped`, which never caps; it records the points it is
+/// asked for, in order.
+struct Hidden(std::sync::Mutex<Vec<Vec<f64>>>);
+
+impl Objective for Hidden {
+    fn evaluate(&self, v: &[f64]) -> f64 {
+        self.0.lock().unwrap().push(v.to_vec());
+        Blocks.evaluate(v)
+    }
+}
+
+/// How many of `points`, evaluated in batches of `batch`, a capped run
+/// must cap: those whose fold reaches the best finished value of the
+/// batches before theirs.
+fn expected_capped(points: &[Vec<f64>], batch: usize) -> u64 {
+    let (mut best, mut capped) = (f64::INFINITY, 0);
+    for chunk in points.chunks(batch) {
+        let cap = best;
+        for p in chunk {
+            capped += u64::from(Blocks.evaluate_capped(&mut EvalContext::new(), p, cap).capped);
+            best = best.min(Blocks.evaluate(p));
+        }
+    }
+    capped
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Capping is invisible in RANDOM's and GRID's results: the best
+    /// point, best error and curve equal the uncapped run's, bit for bit,
+    /// at 1 and 2 workers. The capped points are exactly those whose bound
+    /// reached the incumbent as of their batch's start, at any worker
+    /// count.
+    #[test]
+    fn capping_leaves_random_and_grid_results_unchanged(seed in 1u64..=10, evals in 1u64..60) {
+        const BATCH: usize = 8;
+        let space = ParamSpace::paper(&["a", "b", "c"]);
+        let algos = || -> Vec<Box<dyn Calibrator>> {
+            vec![
+                Box::new(RandomSearch::new(seed).with_batch(BATCH)),
+                Box::new(GridSearch::new().with_chunk(BATCH)),
+            ]
+        };
+        let budget = Budget::Evaluations(evals);
+        for (mut plain, mut algo) in algos().into_iter().zip(algos()) {
+            let hidden = Hidden(Default::default());
+            let reference = calibrate_with_workers(plain.as_mut(), &hidden, &space, budget, Some(1));
+            prop_assert_eq!(reference.capped, 0);
+            let mut capped = Vec::new();
+            for workers in [1, 2] {
+                let r = calibrate_with_workers(algo.as_mut(), &Blocks, &space, budget, Some(workers));
+                prop_assert_eq!(outcome(&r), outcome(&reference), "{} at {} workers", r.algorithm, workers);
+                prop_assert_eq!(r.evaluations, reference.evaluations);
+                capped.push(r.capped);
+            }
+            prop_assert_eq!(capped[0], capped[1], "{}: capped points depend on the worker count", reference.algorithm);
+            if reference.algorithm == "RANDOM" {
+                // GRID's batches restart at each refinement level.
+                let points = hidden.0.into_inner().unwrap();
+                prop_assert_eq!(capped[0], expected_capped(&points, BATCH));
+            }
+            if evals >= 30 {
+                prop_assert!(capped[0] > 0, "{} capped nothing in {} evaluations", reference.algorithm, evals);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A capped fold's bound never exceeds the value the fold finishes
+    /// with — compared exactly, not within a tolerance — for term vectors
+    /// with zeros (where a prefix already equals the finished value) cut
+    /// into blocks anywhere, and capped anywhere up to that value.
+    #[test]
+    fn capped_bounds_never_exceed_the_finished_value(
+        terms in proptest::collection::vec(proptest::option::of(0.0f64..1e3), 1..40),
+        cuts in proptest::collection::vec(1usize..6, 1..12),
+        cap_at in 0.0f64..1.0,
+        cap_exact in 0u32..2,
+        percent in 0u32..2,
+    ) {
+        let terms: Vec<f64> = terms.into_iter().map(|t| t.unwrap_or(0.0)).collect();
+        let scale = if percent == 1 { 100.0 } else { 1.0 };
+        let mut blocks = Vec::new();
+        let mut rest = &terms[..];
+        for &c in cuts.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (block, tail) = rest.split_at(c.min(rest.len()));
+            blocks.push(block.to_vec());
+            rest = tail;
+        }
+        let mut finished = MeanFold::new(scale, terms.len());
+        terms.iter().for_each(|&t| finished.add(t));
+        let finished = finished.value();
+        // Every prefix is a lower bound on the finished value.
+        let mut prefix = MeanFold::new(scale, terms.len());
+        for &t in &terms {
+            prefix.add(t);
+            prop_assert!(prefix.value() <= finished, "{} > {}", prefix.value(), finished);
+        }
+        // A returned bound reached the cap and stays at or below the
+        // finished value; a cap equal to it is reached as soon as the
+        // remaining blocks are all zeros.
+        let cap = if cap_exact == 1 { finished } else { finished * cap_at };
+        let mut fold = MeanFold::new(scale, terms.len());
+        match fold.fold_capped(blocks.iter().map(|b| b.iter().copied()), cap, MeanFold::value) {
+            Some(bound) => {
+                prop_assert!(bound >= cap && bound <= finished, "cap {} bound {} finished {}", cap, bound, finished);
+            }
+            None => prop_assert_eq!(fold.value().to_bits(), finished.to_bits()),
         }
     }
 }
